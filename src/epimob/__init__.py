@@ -12,7 +12,6 @@ from .attractiveness import (
     EpidemicParams,
     attractiveness_cutoff,
     build_grid,
-    choose_cell,
     choose_cells,
     power_law_pmf,
 )
@@ -40,19 +39,14 @@ from .harness import (
     engine_version,
     run_replicate,
     run_replications,
-    sorted_quantile,
 )
 from .metrics import (
-    CAP_REACHED,
-    CapReached,
     ReplicateSummary,
     SimulationTrace,
     TraceBuilder,
     causality_violations,
     contracting_fraction,
     extinction_time,
-    group_index,
-    group_indices,
     infectious_lifetimes,
     prevalence_walk,
     survivor_fraction,
@@ -87,8 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateStats",
-    "CAP_REACHED",
-    "CapReached",
     "CellGrid",
     "ConfigError",
     "EpidemicParams",
@@ -118,7 +110,6 @@ __all__ = [
     "attractiveness_cutoff",
     "build_grid",
     "causality_violations",
-    "choose_cell",
     "choose_cells",
     "contracting_fraction",
     "derive_seed",
@@ -127,8 +118,6 @@ __all__ = [
     "exact_meeting_probability",
     "expected_new_infections_bound",
     "extinction_time",
-    "group_index",
-    "group_indices",
     "infection_probability_from_exposures",
     "infectious_lifetimes",
     "init_population",
@@ -141,7 +130,6 @@ __all__ = [
     "run_replicate",
     "run_replications",
     "serialize_config",
-    "sorted_quantile",
     "sparse_regime_check",
     "step",
     "substep_move",

@@ -15,7 +15,10 @@ O(1) and the whole path vectorises.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,17 +44,75 @@ def attractiveness_cutoff(n: int, kappa: float, alpha: float) -> int:
     return m
 
 
+_TYPES = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One row of the parameter schema, read by validation, config text and flags.
+
+    type is int, float, bool or str, and only a bool row accepts a bool;
+    default is what a config file falls back to (None: required, or may
+    stay unset); message is the ConfigError text for a value of the wrong
+    type or outside the range that ok accepts; help is the flag's help.
+    """
+
+    name: str
+    type: type
+    default: object
+    ok: Callable[[Any], bool]
+    message: str
+    help: str
+
+    def check(self, value) -> None:
+        """Raise ConfigError with this row's message unless value fits the row."""
+        typed = isinstance(value, _TYPES[self.type])
+        if not (typed and (self.type is bool) == isinstance(value, bool) and self.ok(value)):
+            raise ConfigError(self.message)
+
+    def parse(self, text: str):
+        """Checked value of this row's type from config text."""
+        try:
+            value = _BOOLS[text.lower()] if self.type is bool else self.type(text)
+        except (KeyError, ValueError):
+            kind = "boolean" if self.type is bool else "value"
+            raise ConfigError(f"bad {kind} {text!r} for {self.name}") from None
+        self.check(value)
+        return value
+
+    def format(self, value) -> str:
+        """Config text that parse() reads back as an equal value."""
+        if self.type is bool:
+            return "true" if value else "false"
+        return repr(float(value)) if self.type is float else str(value)
+
+
+PARAM_FIELDS = (
+    Field("n", int, None, lambda v: v >= 1,
+          "n must be a positive integer", "population size"),
+    Field("alpha", float, 2.8, lambda v: math.isfinite(v) and v > 2,
+          "alpha must exceed 2", "attractiveness exponent, strictly greater than 2"),
+    Field("kappa", float, 1.0, lambda v: math.isfinite(v) and v > 0,
+          "kappa must be positive", "cells per node; the grid has round(kappa * n) cells"),
+    Field("tau", int, 1, lambda v: v >= 1,
+          "tau must be a positive integer", "steps a node stays infected before retiring"),
+    Field("beta", float, 1.0, lambda v: 0.0 <= v <= 1.0,
+          "beta must lie in [0, 1]", "per-exposure infection probability (1 = certain)"),
+    Field("initial_infected", int, 1, lambda v: v >= 1,
+          "initial_infected must be at least 1", "nodes infected at step 0"),
+    Field("max_steps", int, 10_000, lambda v: v >= 1,
+          "max_steps must be a positive integer", "hard cap on simulated steps"),
+)
+
+
 @dataclass(frozen=True)
 class EpidemicParams:
     """Validated parameter set for one simulation run.
 
-    n:                population size
-    alpha:            attractiveness exponent, strictly greater than 2
-    kappa:            cells per node; the grid has round(kappa * n) cells
-    tau:              steps a node stays infected before retiring
-    beta:             per-exposure infection probability (1 = certain)
-    initial_infected: nodes infected at step 0
-    max_steps:        hard cap on simulated steps
+    Each field's meaning (help), config default and range is its row of
+    PARAM_FIELDS; __post_init__ adds the checks that span fields.
     """
 
     n: int
@@ -63,23 +124,10 @@ class EpidemicParams:
     max_steps: int = 10_000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        if not np.isfinite(self.alpha) or self.alpha <= 2:
-            raise ConfigError("alpha must exceed 2")
-        if not np.isfinite(self.kappa) or self.kappa <= 0:
-            raise ConfigError("kappa must be positive")
-        if not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
-            raise ConfigError("tau must be a positive integer")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ConfigError("beta must lie in [0, 1]")
-        if (
-            not isinstance(self.initial_infected, (int, np.integer))
-            or not 1 <= self.initial_infected <= self.n
-        ):
-            raise ConfigError("initial_infected must lie in [1, n]")
-        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
-            raise ConfigError("max_steps must be a positive integer")
+        for f in PARAM_FIELDS:
+            f.check(getattr(self, f.name))
+        if self.initial_infected > self.n:
+            raise ConfigError("initial_infected must not exceed n")
         if self.num_cells < 1:
             raise ConfigError("kappa * n rounds to zero cells")
         if self.max_attractiveness < 2:
@@ -256,7 +304,3 @@ def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndar
     np.minimum(off, counts - 1, out=off)
     return grid._perm[grid._class_start[c] + off]
 
-
-def choose_cell(grid: CellGrid, rng: np.random.Generator) -> int:
-    """Sample one cell id with probability d_v / W."""
-    return int(choose_cells(grid, rng, 1)[0])

@@ -12,14 +12,14 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Optional
 
-from .attractiveness import build_grid
+from .attractiveness import PARAM_FIELDS, build_grid
 from .errors import ConfigError
 from .harness import run_replications
 from .oracle import exact_meeting_probability, expected_new_infections_bound
 from .rng import ReplicateStreams
 from .scenario import (
+    FIELDS,
     InterventionSchedule,
     ScenarioConfig,
     parse_config,
@@ -31,19 +31,16 @@ from .scenario import (
 
 OUT_DIR_ENV = "EPIMOB_OUT_DIR"
 
-_PARAM_FLAGS = ("n", "alpha", "kappa", "tau", "beta", "initial_infected", "max_steps")
 
-
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
+def _add_field_flags(sub: argparse.ArgumentParser, fields) -> None:
+    """--config plus one flag per schema row; an unset flag reads as None."""
     sub.add_argument("--config", metavar="PATH", help="config file (key=value lines)")
-    sub.add_argument("--n", type=int, help="population size")
-    sub.add_argument("--alpha", type=float, help="attractiveness exponent (> 2)")
-    sub.add_argument("--kappa", type=float, help="cells per node (> 0)")
-    sub.add_argument("--tau", type=int, help="infectious period in steps")
-    sub.add_argument("--beta", type=float, help="per-exposure infection probability")
-    sub.add_argument("--initial-infected", type=int, help="seed cases at step 0")
-    sub.add_argument("--max-steps", type=int, help="hard step cap")
-    sub.add_argument("--seed", type=int, help="master seed (64-bit)")
+    for f in fields:
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction, help=f.help)
+        else:
+            sub.add_argument(flag, type=f.type, help=f.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,21 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a scenario and report outcomes")
-    _add_param_flags(run)
-    run.add_argument("--replications", type=int, help="independent replicates")
+    _add_field_flags(run, FIELDS.values())
     run.add_argument(
         "--trigger",
         action="append",
         metavar="RULE",
         help="time:STEP->k=v,... or prevalence:FRACTION->k=v,...; "
         "repeatable; replaces config-file triggers",
-    )
-    run.add_argument("--out-dir", metavar="DIR", help="write trace/summary/manifest files here")
-    run.add_argument(
-        "--log-cells",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="record per-step cell assignments in traces",
     )
     run.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     run.set_defaults(handler=_cmd_run)
@@ -80,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     preset.set_defaults(handler=_cmd_preset)
 
     oracle = sub.add_parser("oracle", help="print exact quantities for a realized grid")
-    _add_param_flags(oracle)
+    # the oracle builds one grid, so of the run rows it reads only the seed
+    _add_field_flags(oracle, (*PARAM_FIELDS, FIELDS["seed"]))
     oracle.add_argument("--i-count", type=int, help="infected count for the expectation bound")
     oracle.add_argument("--u-count", type=int, help="uninfected count for the expectation bound")
     oracle.add_argument(
@@ -105,32 +95,20 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
     else:
         raise ConfigError("n is required (give --config or --n)")
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _PARAM_FLAGS
-        if getattr(args, name, None) is not None
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in FIELDS.values()
+        if getattr(args, f.name, None) is not None
     }
-    params = dataclasses.replace(cfg.params, **overrides) if overrides else cfg.params
-
-    schedule = cfg.schedule
+    if "out_dir" not in flags and os.environ.get(OUT_DIR_ENV):
+        flags["out_dir"] = os.environ[OUT_DIR_ENV]
+    params = dataclasses.replace(
+        cfg.params, **{f.name: flags.pop(f.name) for f in PARAM_FIELDS if f.name in flags}
+    )
     triggers = getattr(args, "trigger", None)
     if triggers:
-        schedule = InterventionSchedule(tuple(parse_trigger(t) for t in triggers))
-
-    out_dir: Optional[str] = getattr(args, "out_dir", None)
-    if out_dir is None:
-        out_dir = os.environ.get(OUT_DIR_ENV) or cfg.out_dir
-
-    log_cells = getattr(args, "log_cells", None)
-    replications = getattr(args, "replications", None)
-    return ScenarioConfig(
-        params=params,
-        schedule=schedule,
-        seed=cfg.seed if args.seed is None else args.seed,
-        replications=cfg.replications if replications is None else replications,
-        out_dir=out_dir,
-        log_cells=cfg.log_cells if log_cells is None else log_cells,
-    )
+        flags["schedule"] = InterventionSchedule(tuple(parse_trigger(t) for t in triggers))
+    return dataclasses.replace(cfg, params=params, **flags)
 
 
 def _fmt(stat) -> str:

@@ -65,15 +65,13 @@ class StepReport:
 
     new_infections_by_group[k] counts infections that happened in cells of
     attractiveness band [2**k, 2**(k+1)); index 0 stays zero because cell
-    weights start at 2.  occupancy_checksum counts nodes holding a valid
-    cell id after the move substep and must equal n.
+    weights start at 2.
     """
 
     step: int
     new_infections_total: int
     new_infections_by_group: np.ndarray
     newly_recovered: int
-    occupancy_checksum: int
 
 
 def init_population(params: EpidemicParams, rng: np.random.Generator) -> PopulationState:
@@ -121,16 +119,10 @@ def substep_transmit(
     grid: CellGrid,
     params: EpidemicParams,
     rng: np.random.Generator,
-    *,
-    same_step_transmission: bool = False,
 ) -> np.ndarray:
     """Infect exposed nodes; returns the sorted indices of new infections.
 
-    Only nodes that entered the step already infected transmit.  With
-    same_step_transmission=True and beta < 1, nodes infected in this very
-    substep expose their remaining cellmates in extra rounds until no new
-    infection occurs.  (With beta = 1 the first pass already infects every
-    co-located target, so chaining cannot add anything.)
+    Only nodes that entered the step already infected transmit.
     """
     status = state.status
     i_idx = np.flatnonzero(status == INFECTED)
@@ -149,26 +141,8 @@ def substep_transmit(
         newly = exposed[rng.random(exposed.size) < p]
     status[newly] = INFECTED
     state.infected_at[newly] = state.step
-    infected = [newly]
-
-    if same_step_transmission and params.beta < 1.0:
-        frontier = newly
-        while frontier.size:
-            targets = np.flatnonzero(status == UNINFECTED)
-            if targets.size == 0:
-                break
-            m2 = _exposures(cells, frontier, targets, grid.num_cells)
-            hit = m2 > 0
-            exposed2 = targets[hit]
-            if exposed2.size == 0:
-                break
-            p2 = -np.expm1(np.log1p(-params.beta) * m2[hit])
-            frontier = exposed2[rng.random(exposed2.size) < p2]
-            status[frontier] = INFECTED
-            state.infected_at[frontier] = state.step
-            infected.append(frontier)
-
-    return np.sort(np.concatenate(infected)) if len(infected) > 1 else np.sort(newly)
+    # sorted already: masks of the ascending u_idx keep its order
+    return newly
 
 
 def substep_recover(state: PopulationState, params: EpidemicParams) -> int:
@@ -189,18 +163,11 @@ def _role_streams(rng) -> tuple[np.random.Generator, np.random.Generator]:
     return rng, rng
 
 
-def _occupancy_checksum(cells: np.ndarray, num_cells: int) -> int:
-    """Count nodes assigned a valid cell id; equals n when every node moved."""
-    return int(np.count_nonzero((cells >= 0) & (cells < num_cells)))
-
-
 def step(
     state: PopulationState,
     grid: CellGrid,
     params: EpidemicParams,
     rng,
-    *,
-    same_step_transmission: bool = False,
 ) -> StepReport:
     """Advance the population by one full step and report what happened.
 
@@ -214,9 +181,7 @@ def step(
     state.step += 1
     move_rng, transmit_rng = _role_streams(rng)
     substep_move(state, grid, move_rng)
-    newly = substep_transmit(
-        state, grid, params, transmit_rng, same_step_transmission=same_step_transmission
-    )
+    newly = substep_transmit(state, grid, params, transmit_rng)
     retired = substep_recover(state, params)
     by_group = np.bincount(
         grid.cell_group[state.current_cell[newly]], minlength=grid.max_group + 1
@@ -226,5 +191,4 @@ def step(
         new_infections_total=int(newly.size),
         new_infections_by_group=by_group,
         newly_recovered=retired,
-        occupancy_checksum=_occupancy_checksum(state.current_cell, grid.num_cells),
     )

@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib import metadata as _importlib_metadata
-from typing import Optional
 
 import numpy as np
 
@@ -65,7 +64,7 @@ class RunManifest:
 
 @dataclass(frozen=True)
 class StatSummary:
-    """Mean and sort-based quantiles of one outcome across replicates."""
+    """Mean and linear-interpolation quantiles of one outcome across replicates."""
 
     mean: float
     q10: float
@@ -91,31 +90,13 @@ class RunResult:
     aggregate: AggregateStats
 
 
-def sorted_quantile(values, q: float) -> float:
-    """Linear-interpolation quantile on the sorted values (reference method)."""
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    if xs.size == 0:
-        return math.nan
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    pos = q * (xs.size - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, xs.size - 1)
-    frac = pos - lo
-    return float(xs[lo] * (1.0 - frac) + xs[hi] * frac)
-
-
 def _stat_summary(values) -> StatSummary:
     values = list(values)
     if not values:
         nan = math.nan
         return StatSummary(nan, nan, nan, nan)
-    return StatSummary(
-        mean=float(np.mean(values)),
-        q10=sorted_quantile(values, 0.10),
-        median=sorted_quantile(values, 0.50),
-        q90=sorted_quantile(values, 0.90),
-    )
+    q10, median, q90 = np.quantile(np.asarray(values, dtype=np.float64), [0.10, 0.50, 0.90])
+    return StatSummary(float(np.mean(values)), float(q10), float(median), float(q90))
 
 
 def aggregate_stats(summaries, n: int) -> AggregateStats:

@@ -13,33 +13,6 @@ from typing import Optional
 import numpy as np
 
 
-class CapReached:
-    """Marker: the run hit max_steps with the infection still present."""
-
-    def __repr__(self) -> str:
-        return "CapReached"
-
-
-CAP_REACHED = CapReached()
-
-
-def group_index(d: int) -> int:
-    """Attractiveness band floor(log2 d) of a single weight; d must be >= 2."""
-    d = int(d)
-    if d < 2:
-        raise ValueError("attractiveness must be at least 2")
-    return d.bit_length() - 1
-
-
-def group_indices(values) -> np.ndarray:
-    """Vectorized group_index over an integer array."""
-    v = np.asarray(values, dtype=np.int64)
-    if v.size and v.min() < 2:
-        raise ValueError("attractiveness must be at least 2")
-    # exact for the integer range in play; log2 of a power of two is exact
-    return np.floor(np.log2(v)).astype(np.int64)
-
-
 @dataclass
 class SimulationTrace:
     """Per-step history of one replicate, row 0 being the initial state.
@@ -164,11 +137,11 @@ def survivor_fraction(trace: SimulationTrace) -> float:
     return trace.survivors / trace.n
 
 
-def extinction_time(trace: SimulationTrace):
-    """First step with zero infected, or CAP_REACHED if the run never got there."""
+def extinction_time(trace: SimulationTrace) -> Optional[int]:
+    """First step with zero infected, or None if the run never got there."""
     idx = np.flatnonzero(trace.infected == 0)
     if idx.size == 0:
-        return CAP_REACHED
+        return None
     return int(trace.steps[idx[0]])
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .attractiveness import CellGrid, choose_cells
 from .dynamics import INFECTED, RECOVERED, UNINFECTED
+from .scenario import FIELDS
 
 # K ** (i + u) placements are enumerated outright; 8 x 8 is ~16.7M states,
 # still fast, and anything larger is misuse of an exhaustive oracle.
@@ -48,8 +49,7 @@ def infection_probability_from_exposures(beta: float, m: int) -> float:
     closed form, so it can serve as an independent check of the engine's
     1 - (1 - beta) ** m rule.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    FIELDS["beta"].check(beta)
     if m < 0:
         raise ValueError("m must be non-negative")
     total = 0.0
@@ -69,8 +69,8 @@ def enumerate_step(grid: CellGrid, statuses, beta: float = 1.0) -> np.ndarray:
     by infection_probability_from_exposures(beta, m).  Recovered nodes are
     inert for transmission, so their placements are marginalized out.
 
-    Matches the engine's default single-round transmission (nodes infected
-    within the step do not transmit in it).  Returns an array of length
+    Matches the engine's single-round transmission (nodes infected within
+    the step do not transmit in it).  Returns an array of length
     |U| + 1 whose entry c is P(exactly c new infections).
     """
     statuses = np.asarray(statuses)
@@ -83,8 +83,7 @@ def enumerate_step(grid: CellGrid, statuses, beta: float = 1.0) -> np.ndarray:
             f"instance too large to enumerate: {n} nodes x {k} cells "
             f"(limit {MAX_ENUM_NODES} x {MAX_ENUM_CELLS})"
         )
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    FIELDS["beta"].check(beta)
     known = np.isin(statuses, (UNINFECTED, INFECTED, RECOVERED))
     if not known.all():
         raise ValueError("statuses must use the UNINFECTED/INFECTED/RECOVERED codes")
@@ -175,8 +174,7 @@ def sparse_regime_check(
         raise ValueError("i_count and u_count must be non-negative")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
+    FIELDS["n"].check(n)
     if alpha is None:
         alpha = grid.alpha
     if alpha is None:

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .attractiveness import CellGrid, EpidemicParams, build_grid
+from .attractiveness import PARAM_FIELDS, CellGrid, EpidemicParams, Field, build_grid
 from .dynamics import PopulationState
 from .errors import ConfigError
 
@@ -57,6 +57,24 @@ TriggerCondition = Union[TimeReached, PrevalenceReached]
 _OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 
 
+# serialize_config writes out_dir=<path> on one line, which parse_config cuts
+# at '#' and strips, so only such paths survive the round trip
+RUN_FIELDS = (
+    Field("seed", int, 0, lambda v: 0 <= v < 2**64,
+          "seed must lie in [0, 2**64)", "master seed (64-bit)"),
+    Field("replications", int, 1, lambda v: v >= 1,
+          "replications must be a positive integer", "independent replicates"),
+    Field("log_cells", bool, False, lambda v: True,
+          "log_cells must be a bool", "record per-step cell assignments in traces"),
+    Field("out_dir", str, None,
+          lambda v: "#" not in v and v == v.strip() and v.splitlines() in ([], [v]),
+          "out_dir must be a string without '#', line breaks, or edge whitespace",
+          "write trace/summary/manifest files here"),
+)
+
+FIELDS = {f.name: f for f in (*PARAM_FIELDS, *RUN_FIELDS)}
+
+
 @dataclass(frozen=True)
 class ParamOverlay:
     """Partial parameter replacement applied when a trigger fires.
@@ -72,21 +90,18 @@ class ParamOverlay:
     beta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if all(getattr(self, k) is None for k in _OVERLAY_KEYS):
+        changes = self._changes()
+        if not changes:
             raise ConfigError("overlay must set at least one of alpha, kappa, tau, beta")
-        if self.alpha is not None and not self.alpha > 2:
-            raise ConfigError("alpha must exceed 2")
-        if self.kappa is not None and not self.kappa > 0:
-            raise ConfigError("kappa must be positive")
-        if self.tau is not None and (not isinstance(self.tau, int) or self.tau < 1):
-            raise ConfigError("tau must be a positive integer")
-        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("beta must lie in [0, 1]")
+        for key, value in changes.items():
+            FIELDS[key].check(value)
+
+    def _changes(self) -> dict:
+        return {k: getattr(self, k) for k in _OVERLAY_KEYS if getattr(self, k) is not None}
 
     def merge(self, params: EpidemicParams) -> EpidemicParams:
         """New params with the overlay applied; revalidates every invariant."""
-        changes = {k: getattr(self, k) for k in _OVERLAY_KEYS if getattr(self, k) is not None}
-        return dataclasses.replace(params, **changes)
+        return dataclasses.replace(params, **self._changes())
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,10 @@ class InterventionSchedule:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one invocation needs: params, schedule, seeding, outputs."""
+    """Everything one invocation needs: params, schedule, seeding, outputs.
+
+    Each field but params and schedule must pass its RUN_FIELDS row.
+    """
 
     params: EpidemicParams
     schedule: InterventionSchedule = InterventionSchedule()
@@ -138,10 +156,10 @@ class ScenarioConfig:
     log_cells: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.replications, int) or self.replications < 1:
-            raise ConfigError("replications must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an integer in [0, 2**64)")
+        for f in RUN_FIELDS:
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                f.check(value)
 
 
 def preset_emerging(n: int) -> ScenarioConfig:
@@ -205,38 +223,6 @@ def apply_intervention(
     return merged, build_grid(merged, rng)
 
 
-_INT_KEYS = {"n", "tau", "initial_infected", "max_steps", "seed", "replications"}
-_FLOAT_KEYS = {"alpha", "kappa", "beta"}
-_TRUE_WORDS = {"true", "1", "yes", "on"}
-_FALSE_WORDS = {"false", "0", "no", "off"}
-
-_DEFAULTS = {
-    "alpha": 2.8,
-    "kappa": 1.0,
-    "tau": 1,
-    "beta": 1.0,
-    "initial_infected": 1,
-    "max_steps": 10_000,
-    "seed": 0,
-    "replications": 1,
-    "out_dir": None,
-    "log_cells": False,
-}
-
-# immediate per-key range checks, so errors carry line numbers
-_RANGE_CHECKS = {
-    "n": (lambda v: v >= 1, "n must be a positive integer"),
-    "alpha": (lambda v: v > 2, "alpha must exceed 2"),
-    "kappa": (lambda v: v > 0, "kappa must be positive"),
-    "tau": (lambda v: v >= 1, "tau must be a positive integer"),
-    "beta": (lambda v: 0.0 <= v <= 1.0, "beta must lie in [0, 1]"),
-    "initial_infected": (lambda v: v >= 1, "initial_infected must be at least 1"),
-    "max_steps": (lambda v: v >= 1, "max_steps must be a positive integer"),
-    "seed": (lambda v: 0 <= v < 2**64, "seed must lie in [0, 2**64)"),
-    "replications": (lambda v: v >= 1, "replications must be a positive integer"),
-}
-
-
 def parse_trigger(text: str) -> Trigger:
     """Parse `time:STEP->k=v,...` or `prevalence:FRACTION->k=v,...`."""
     head, arrow, tail = text.partition("->")
@@ -271,42 +257,19 @@ def parse_trigger(text: str) -> Trigger:
             raise ConfigError(f"trigger override {pair.strip()!r} is not key=value")
         if key not in _OVERLAY_KEYS:
             raise ConfigError(f"trigger override key {key!r} not in {_OVERLAY_KEYS}")
-        try:
-            fields[key] = int(value) if key == "tau" else float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad trigger override value {value!r} for {key}") from exc
+        fields[key] = FIELDS[key].parse(value)
     return Trigger(condition=condition, overlay=ParamOverlay(**fields))
-
-
-def _convert(key: str, value: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value {value!r} for {key}") from exc
-    if key == "log_cells":
-        low = value.lower()
-        if low in _TRUE_WORDS:
-            return True
-        if low in _FALSE_WORDS:
-            return False
-        raise ConfigError(f"line {lineno}: bad boolean {value!r} for log_cells")
-    return value  # out_dir: raw string
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse line-oriented key=value config text into a validated config.
 
-    Accepted keys: n (required), alpha, kappa, tau, beta, initial_infected,
-    max_steps, seed, replications, out_dir, log_cells, and repeatable
-    trigger lines `trigger=<time:STEP|prevalence:FRACTION>-><key=value,...>`
-    whose override keys are alpha, kappa, tau, beta.  `#` starts a comment;
-    blank lines are ignored; a scalar key given twice keeps the last value.
-    Unset keys fall back to alpha=2.8, kappa=1, tau=1, beta=1,
-    initial_infected=1, max_steps=10000, seed=0, replications=1.
-    Malformed input raises ConfigError naming the offending line and key.
+    Accepted keys are the rows of FIELDS (n is required; the others fall
+    back to their row's default) plus repeatable trigger lines
+    `trigger=<time:STEP|prevalence:FRACTION>-><key=value,...>` whose override
+    keys are alpha, kappa, tau, beta.  `#` starts a comment; blank lines are
+    ignored; a scalar key given twice keeps the last value.  Malformed input
+    raises ConfigError naming the offending line and key.
     """
     values: dict[str, object] = {}
     triggers: list[Trigger] = []
@@ -319,62 +282,34 @@ def parse_config(text: str) -> ScenarioConfig:
         value = value.strip()
         if not eq or not key:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        if key == "trigger":
-            try:
+        try:
+            if key == "trigger":
                 triggers.append(parse_trigger(value))
-            except ConfigError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-            continue
-        if key not in _DEFAULTS and key != "n":
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        converted = _convert(key, value, lineno)
-        if key in _RANGE_CHECKS:
-            ok, message = _RANGE_CHECKS[key]
-            if not ok(converted):
-                raise ConfigError(f"line {lineno}: {message}")
-        values[key] = converted
+            elif key in FIELDS:
+                values[key] = FIELDS[key].parse(value)
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
 
     if "n" not in values:
         raise ConfigError("n is required")
 
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-    params = EpidemicParams(
-        n=merged["n"],
-        alpha=merged["alpha"],
-        kappa=merged["kappa"],
-        tau=merged["tau"],
-        beta=merged["beta"],
-        initial_infected=merged["initial_infected"],
-        max_steps=merged["max_steps"],
-    )
+    def pick(fields) -> dict:
+        return {f.name: values.get(f.name, f.default) for f in fields}
+
     return ScenarioConfig(
-        params=params,
+        params=EpidemicParams(**pick(PARAM_FIELDS)),
         schedule=InterventionSchedule(tuple(triggers)),
-        seed=merged["seed"],
-        replications=merged["replications"],
-        out_dir=merged["out_dir"],
-        log_cells=merged["log_cells"],
+        **pick(RUN_FIELDS),
     )
 
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Config text that parses back to an equal ScenarioConfig."""
-    p = config.params
-    lines = [
-        f"n={p.n}",
-        f"alpha={p.alpha!r}",
-        f"kappa={p.kappa!r}",
-        f"tau={p.tau}",
-        f"beta={p.beta!r}",
-        f"initial_infected={p.initial_infected}",
-        f"max_steps={p.max_steps}",
-        f"seed={config.seed}",
-        f"replications={config.replications}",
-        f"log_cells={'true' if config.log_cells else 'false'}",
-    ]
-    if config.out_dir is not None:
-        lines.append(f"out_dir={config.out_dir}")
+    items = [(f, getattr(config.params, f.name)) for f in PARAM_FIELDS]
+    items += [(f, getattr(config, f.name)) for f in RUN_FIELDS]
+    lines = [f"{f.name}={f.format(value)}" for f, value in items if value is not None]
     for trig in config.schedule:
         cond = trig.condition
         head = (
@@ -383,9 +318,7 @@ def serialize_config(config: ScenarioConfig) -> str:
             else f"prevalence:{cond.fraction!r}"
         )
         overrides = ",".join(
-            f"{k}={getattr(trig.overlay, k)!r}"
-            for k in _OVERLAY_KEYS
-            if getattr(trig.overlay, k) is not None
+            f"{k}={FIELDS[k].format(v)}" for k, v in trig.overlay._changes().items()
         )
         lines.append(f"trigger={head}->{overrides}")
     return "\n".join(lines) + "\n"

@@ -13,9 +13,7 @@ from epimob import (
     EpidemicParams,
     attractiveness_cutoff,
     build_grid,
-    choose_cell,
     choose_cells,
-    group_indices,
     power_law_pmf,
 )
 from epimob.attractiveness import _build_alias
@@ -88,6 +86,9 @@ def test_params_validation():
         EpidemicParams(**{**good, "initial_infected": 10_001})
     with pytest.raises(ConfigError):
         EpidemicParams(**{**good, "max_steps": 0})
+    with pytest.raises(ConfigError, match="n must be"):
+        EpidemicParams(**{**good, "n": True})
+    assert EpidemicParams(**{**good, "n": np.int64(10_000)}).num_cells == 10_000
 
 
 def test_params_rejects_empty_attractiveness_support():
@@ -152,7 +153,7 @@ def test_cell_grid_basic_fields():
     probs = grid.choice_probabilities()
     assert abs(probs.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(probs, np.array([2, 3, 4, 4, 8]) / 21)
-    np.testing.assert_array_equal(grid.cell_group, group_indices([2, 3, 4, 4, 8]))
+    np.testing.assert_array_equal(grid.cell_group, [1, 1, 2, 2, 3])
 
 
 @given(
@@ -183,13 +184,6 @@ def test_choose_single_cell_grid():
     grid = CellGrid.from_weights([5])
     rng = substream(1, 0, 2)
     assert choose_cells(grid, rng, 100).tolist() == [0] * 100
-
-
-def test_choose_cell_matches_vector_draw():
-    grid = CellGrid.from_weights([2, 3, 4])
-    one = choose_cell(grid, substream(9, 0, 2))
-    vec = choose_cells(grid, substream(9, 0, 2), 1)
-    assert one == int(vec[0])
 
 
 def test_choose_two_cell_proportions():

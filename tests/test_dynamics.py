@@ -148,34 +148,18 @@ def test_transmit_stream_untouched_when_beta_is_one():
     assert rng.random() == twin.random()
 
 
-def _both_infected_frequency(same_step, trials=20_000):
-    # one infectious and two uninfected in a single cell, beta=0.5
+def test_same_step_transmission_off_by_default():
+    # one infectious and two uninfected in a single cell, beta=0.5; a node
+    # infected in this step does not expose the other: P(both) = 0.5 * 0.5
     params = small_params(3, tau=1, beta=0.5)
     grid = CellGrid.from_weights([2])
     rng = substream(17, 0, 3)
+    trials = 20_000
     both = 0
     for _ in range(trials):
-        state = fresh_state(1, 2)
-        newly = substep_transmit(
-            state, grid, params, rng, same_step_transmission=same_step
-        )
-        both += newly.size == 2
-    return both / trials
-
-
-def test_same_step_transmission_off_by_default():
-    # without chaining: P(both) = 0.5 * 0.5 = 0.25
-    freq = _both_infected_frequency(same_step=False)
-    se = math.sqrt(0.25 * 0.75 / 20_000)
-    assert abs(freq - 0.25) <= 4 * se
-
-
-def test_same_step_transmission_chains_when_enabled():
-    # with chaining the lone first-round case gets a second exposure:
-    # P(both) = 0.25 + 0.5 * 0.5 = 0.5
-    freq = _both_infected_frequency(same_step=True)
-    se = math.sqrt(0.5 * 0.5 / 20_000)
-    assert abs(freq - 0.5) <= 4 * se
+        both += substep_transmit(fresh_state(1, 2), grid, params, rng).size == 2
+    se = math.sqrt(0.25 * 0.75 / trials)
+    assert abs(both / trials - 0.25) <= 4 * se
 
 
 @given(
@@ -259,7 +243,8 @@ def test_step_with_no_infection_is_movement_only():
     report = step(state, grid, params, substream(1, 0, 2))
     assert report.new_infections_total == 0
     assert report.newly_recovered == 0
-    assert report.occupancy_checksum == 20
+    assert state.current_cell.size == 20
+    assert 0 <= state.current_cell.min() and state.current_cell.max() < grid.num_cells
     assert report.step == 1
 
 
@@ -315,9 +300,10 @@ def test_full_run_bookkeeping_invariants():
         assert i >= 0 and u >= 0
         assert report.new_infections_by_group.sum() == new
         assert report.new_infections_by_group[0] == 0
-        assert report.occupancy_checksum == 500
         prev = (i, u, r)
     assert sum(prev) == 500
+    assert state.current_cell.size == 500
+    assert 0 <= state.current_cell.min() and state.current_cell.max() < params.num_cells
     final = state.counts()
     assert (final.infected, final.uninfected, final.recovered) == prev
     assert ever == 500 - final.uninfected

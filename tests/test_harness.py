@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from epimob import (
     EpidemicParams,
@@ -25,7 +23,6 @@ from epimob import (
     run_replicate,
     run_replications,
     serialize_config,
-    sorted_quantile,
 )
 from epimob.harness import _group_width
 
@@ -54,24 +51,6 @@ def test_derive_seed_is_pure_and_spreads():
 def test_engine_version_is_a_version_string():
     v = engine_version()
     assert isinstance(v, str) and v
-
-
-@given(
-    values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
-    q=st.floats(0.0, 1.0),
-)
-def test_sorted_quantile_matches_reference(values, q):
-    assert sorted_quantile(values, q) == pytest.approx(
-        float(np.quantile(np.array(values), q)), abs=1e-6
-    )
-
-
-def test_sorted_quantile_edges():
-    assert math.isnan(sorted_quantile([], 0.5))
-    assert sorted_quantile([7.0], 0.0) == 7.0
-    assert sorted_quantile([7.0], 1.0) == 7.0
-    with pytest.raises(ValueError):
-        sorted_quantile([1.0, 2.0], 1.5)
 
 
 def test_aggregate_stats_hand_computed():

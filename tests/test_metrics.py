@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from epimob import (
-    CAP_REACHED,
     INFECTED,
+    CellGrid,
     EpidemicParams,
     ReplicateStreams,
     ReplicateSummary,
@@ -18,8 +16,6 @@ from epimob import (
     causality_violations,
     contracting_fraction,
     extinction_time,
-    group_index,
-    group_indices,
     infectious_lifetimes,
     init_population,
     prevalence_walk,
@@ -31,31 +27,9 @@ from epimob import (
 
 
 def test_group_index_band_edges():
-    assert group_index(2) == 1
-    assert group_index(3) == 1
-    assert group_index(4) == 2
-    assert group_index(7) == 2
-    assert group_index(8) == 3
-    assert group_index(31) == 4
-    assert group_index(32) == 5
-
-
-def test_group_index_rejects_small_weights():
-    with pytest.raises(ValueError):
-        group_index(1)
-    with pytest.raises(ValueError):
-        group_indices([4, 1])
-
-
-def test_group_indices_empty_is_empty():
-    assert group_indices(np.array([], dtype=np.int64)).size == 0
-
-
-@given(st.lists(st.integers(2, 1 << 20), min_size=1, max_size=50))
-def test_group_indices_matches_scalar(values):
-    np.testing.assert_array_equal(
-        group_indices(values), [group_index(v) for v in values]
-    )
+    # band k holds weights in [2**k, 2**(k+1))
+    grid = CellGrid.from_weights([2, 3, 4, 7, 8, 31, 32])
+    np.testing.assert_array_equal(grid.cell_group, [1, 1, 2, 2, 3, 4, 5])
 
 
 def _walk_trace(infected, tau=2):
@@ -89,9 +63,7 @@ def test_extinction_time_from_arrays():
 
 
 def test_extinction_time_cap_marker():
-    result = extinction_time(_walk_trace([3, 2, 2]))
-    assert result is CAP_REACHED
-    assert repr(result) == "CapReached"
+    assert extinction_time(_walk_trace([3, 2, 2])) is None
 
 
 def test_prevalence_walk_arithmetic():
@@ -121,13 +93,12 @@ def test_contracting_fraction():
         contracting_fraction(np.empty((0, 2)))
 
 
-def _report(s, total, by_group, recovered=0, checksum=10):
+def _report(s, total, by_group, recovered=0):
     return StepReport(
         step=s,
         new_infections_total=total,
         new_infections_by_group=np.asarray(by_group, dtype=np.int64),
         newly_recovered=recovered,
-        occupancy_checksum=checksum,
     )
 
 

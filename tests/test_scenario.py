@@ -1,7 +1,11 @@
 """Presets, triggers, overlays, config text parsing, and round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from epimob import (
     ConfigError,
@@ -121,6 +125,11 @@ def test_scenario_config_validation():
         ScenarioConfig(params=params, seed=-1)
     with pytest.raises(ConfigError, match="seed"):
         ScenarioConfig(params=params, seed=2**64)
+    with pytest.raises(ConfigError, match="seed"):
+        ScenarioConfig(params=params, seed=True)
+    with pytest.raises(ConfigError, match="replications"):
+        ScenarioConfig(params=params, replications=True)
+    assert ScenarioConfig(params=params, seed=np.uint64(5)).seed == 5
 
 
 def test_parse_trigger_grammar():
@@ -141,6 +150,7 @@ def test_parse_trigger_grammar():
         "time:10->n=50",  # key outside the overlay set
         "time:10->tau=x",  # bad value
         "time:10->",  # empty override list
+        "time:1->alpha=inf",  # out of range, caught before the run starts
     ]:
         with pytest.raises(ConfigError):
             parse_trigger(bad)
@@ -205,6 +215,82 @@ def test_config_round_trip_through_text():
     )
     config = parse_config(text)
     assert parse_config(serialize_config(config)) == config
+
+
+_overlays = st.fixed_dictionaries(
+    {},
+    optional={
+        "alpha": st.floats(2.0, 8.0, exclude_min=True),
+        "kappa": st.floats(0.01, 64.0),
+        "tau": st.integers(1, 50),
+        "beta": st.floats(0.0, 1.0),
+    },
+).filter(bool).map(lambda kw: ParamOverlay(**kw))
+# no '#', control characters or line separators, and no edge whitespace
+_out_dirs = st.none() | st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="#")
+).map(str.strip)
+
+
+@st.composite
+def _configs(draw):
+    n = draw(st.integers(1, 10**7))
+    try:
+        params = EpidemicParams(
+            n=n,
+            alpha=draw(st.floats(2.0, 8.0, exclude_min=True)),
+            kappa=draw(st.floats(0.01, 64.0)),
+            tau=draw(st.integers(1, 50)),
+            beta=draw(st.floats(0.0, 1.0)),
+            initial_infected=draw(st.integers(1, n)),
+            max_steps=draw(st.integers(1, 10**6)),
+        )
+    except ConfigError:  # attractiveness support empty for this n, kappa, alpha
+        assume(False)
+    steps = draw(st.lists(st.integers(1, 10**6), max_size=3, unique=True))
+    fracs = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=3, unique=True))
+    triggers = [Trigger(TimeReached(s), draw(_overlays)) for s in sorted(steps)]
+    triggers += [Trigger(PrevalenceReached(f), draw(_overlays)) for f in sorted(fracs)]
+    return ScenarioConfig(
+        params=params,
+        schedule=InterventionSchedule(tuple(triggers)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        replications=draw(st.integers(1, 1000)),
+        out_dir=draw(_out_dirs),
+        log_cells=draw(st.booleans()),
+    )
+
+
+@given(_configs())
+def test_serialize_parse_round_trip(config):
+    assert parse_config(serialize_config(config)) == config
+    # an out_dir that the key=value text cannot carry is refused up front
+    for bad in ["runs/#1", "a\nseed=7", "  x  ", "x\r", "a\x0cb", "a\u2028b"]:
+        with pytest.raises(ConfigError, match="out_dir"):
+            dataclasses.replace(config, out_dir=bad)
+
+
+def test_serialize_config_golden_bytes():
+    emerging = dataclasses.replace(
+        preset_emerging(10_000),
+        schedule=InterventionSchedule(
+            (Trigger(PrevalenceReached(0.02), ParamOverlay(alpha=6.0, kappa=16.0, tau=2)),)
+        ),
+    )
+    assert serialize_config(emerging) == (
+        "n=10000\nalpha=2.8\nkappa=1.0\ntau=2\nbeta=1.0\ninitial_infected=9\n"
+        "max_steps=10000\nseed=0\nreplications=1\nlog_cells=false\n"
+        "trigger=prevalence:0.02->alpha=6.0,kappa=16.0,tau=2\n"
+    )
+    industrialized = dataclasses.replace(
+        preset_industrialized(100_000),
+        schedule=InterventionSchedule((Trigger(TimeReached(5), ParamOverlay(beta=0.5)),)),
+    )
+    assert serialize_config(industrialized) == (
+        "n=100000\nalpha=6.0\nkappa=16.0\ntau=2\nbeta=1.0\ninitial_infected=12\n"
+        "max_steps=10000\nseed=0\nreplications=1\nlog_cells=false\n"
+        "trigger=time:5->beta=0.5\n"
+    )
 
 
 def test_apply_intervention_swaps_world_not_population():
