@@ -11,6 +11,10 @@ classes of equal attractiveness.  A draw picks a class from an alias table
 weighted by (class count * class value) / W, then a uniform member of that
 class through a permutation of cell ids grouped by class.  Both lookups are
 O(1) and the whole path vectorises.
+
+The classes come from one stable argsort of the weights, cast to the
+narrowest unsigned type that holds m.  For m < 2**16, which covers every
+preset, numpy runs that sort as a radix sort, so a grid builds in O(K).
 """
 
 from __future__ import annotations
@@ -200,6 +204,14 @@ class CellGrid:
     total_weight: W, the summed attractiveness
     cell_group:   per-cell group index floor(log2(d)), used to bucket new
                   infections by the attractiveness band they occurred in
+    _class_values, _class_counts, _class_start:
+                  the distinct weights in increasing order, how many cells
+                  carry each, and where each class begins in _perm
+    _perm:        cell ids sorted stably by weight, so each class's cells
+                  sit together in increasing id order
+    _alias, _accept:
+                  Vose alias table over the classes, weighted by
+                  value * count / W
     """
 
     attractiveness: np.ndarray
@@ -212,7 +224,6 @@ class CellGrid:
     _class_counts: np.ndarray = field(init=False, repr=False)
     _class_start: np.ndarray = field(init=False, repr=False)
     _perm: np.ndarray = field(init=False, repr=False)
-    _cell_class: np.ndarray = field(init=False, repr=False)
     _alias: np.ndarray = field(init=False, repr=False)
     _accept: np.ndarray = field(init=False, repr=False)
 
@@ -226,18 +237,21 @@ class CellGrid:
             )
         self.attractiveness = d
         self.total_weight = int(d.sum())
-        # log2 of small positive ints is exact, so the floor is safe
-        self.cell_group = np.floor(np.log2(d)).astype(np.int16)
 
-        values, inverse, counts = np.unique(d, return_inverse=True, return_counts=True)
-        order = np.argsort(inverse, kind="stable")
-        start = np.zeros(values.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=start[1:])
+        # numpy's stable sort is an O(K) radix sort for keys of 16 bits or fewer
+        keys = d.astype(np.min_scalar_type(self.max_attractiveness))
+        perm = np.argsort(keys, kind="stable")
+        ordered = keys[perm]
+        start = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1))
+        values = ordered[start].astype(np.int64)
+        counts = np.diff(start, append=d.size)
         self._class_values = values
         self._class_counts = counts
-        self._class_start = start[:-1]
-        self._perm = order.astype(np.int64)
-        self._cell_class = inverse.astype(np.int32)
+        self._class_start = start
+        self._perm = perm
+        groups = np.array([int(v).bit_length() - 1 for v in values], dtype=np.int16)
+        self.cell_group = np.empty(d.size, dtype=np.int16)
+        self.cell_group[perm] = np.repeat(groups, counts)
         class_probs = values * counts / self.total_weight
         self._alias, self._accept = _build_alias(class_probs)
 
@@ -272,7 +286,8 @@ class CellGrid:
         attractiveness.
         """
         nodes = np.bincount(
-            self._cell_class[cells], minlength=self._class_values.size
+            np.searchsorted(self._class_values, self.attractiveness[cells]),
+            minlength=self._class_values.size,
         )
         return self._class_values, self._class_counts.copy(), nodes
 
@@ -285,7 +300,7 @@ def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:
     cdf[-1] = 1.0  # guard against cumsum round-off
     u = rng.random(params.num_cells)
     d = np.searchsorted(cdf, u, side="right") + 2
-    return CellGrid(d.astype(np.int64), cutoff, alpha=params.alpha)
+    return CellGrid(d, cutoff, alpha=params.alpha)
 
 
 def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -191,6 +191,9 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     """
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
+    if config.out_dir is not None:
+        # an unusable out_dir fails here, before any replicate runs
+        os.makedirs(config.out_dir, exist_ok=True)
     jobs = [(config, r) for r in range(config.replications)]
     if workers > 1 and config.replications > 1:
         methods = multiprocessing.get_all_start_methods()
@@ -217,7 +220,6 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     manifest.wall_seconds = time.perf_counter() - t0
     if config.out_dir is not None:
         digits = max(4, len(str(config.replications - 1)))
-        os.makedirs(config.out_dir, exist_ok=True)
         for summary, trace in results:
             name = f"trace_{summary.replicate:0{digits}d}.csv"
             write_trace_csv(trace, os.path.join(config.out_dir, name))

@@ -30,7 +30,7 @@ class TimeReached:
     step: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.step, int) or self.step < 1:
+        if isinstance(self.step, bool) or not isinstance(self.step, int) or self.step < 1:
             raise ConfigError("trigger step must be a positive integer")
 
     def met(self, step: int, infected: int, n: int) -> bool:
@@ -58,7 +58,8 @@ _OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 
 
 # serialize_config writes out_dir=<path> on one line, which parse_config cuts
-# at '#' and strips, so only such paths survive the round trip
+# at '#' and strips, so only such paths survive the round trip; no OS path
+# holds a NUL
 RUN_FIELDS = (
     Field("seed", int, 0, lambda v: 0 <= v < 2**64,
           "seed must lie in [0, 2**64)", "master seed (64-bit)"),
@@ -67,8 +68,9 @@ RUN_FIELDS = (
     Field("log_cells", bool, False, lambda v: True,
           "log_cells must be a bool", "record per-step cell assignments in traces"),
     Field("out_dir", str, None,
-          lambda v: "#" not in v and v == v.strip() and v.splitlines() in ([], [v]),
-          "out_dir must be a string without '#', line breaks, or edge whitespace",
+          lambda v: "#" not in v and "\0" not in v and v == v.strip()
+          and v.splitlines() in ([], [v]),
+          "out_dir must be a string without '#', NUL, line breaks, or edge whitespace",
           "write trace/summary/manifest files here"),
 )
 

@@ -156,6 +156,48 @@ def test_cell_grid_basic_fields():
     np.testing.assert_array_equal(grid.cell_group, [1, 1, 2, 2, 3])
 
 
+def _reference_layout(weights: np.ndarray) -> dict:
+    """Class layout by np.unique and a stable argsort of its inverse."""
+    values, inverse, counts = np.unique(weights, return_inverse=True, return_counts=True)
+    start = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    alias, accept = _build_alias(values * counts / weights.sum())
+    return {
+        "_class_values": values,
+        "_class_counts": counts,
+        "_class_start": start[:-1],
+        "_perm": np.argsort(inverse, kind="stable").astype(np.int64),
+        "cell_group": np.floor(np.log2(weights)).astype(np.int16),
+        "_alias": alias,
+        "_accept": accept,
+    }
+
+
+@settings(max_examples=60)
+@given(
+    weights=st.one_of(
+        st.lists(st.integers(2, 9), min_size=1, max_size=300),
+        # wider than 16 bits, so the sort is not a radix sort
+        st.lists(st.integers(2, 70_000), min_size=1, max_size=300),
+        st.tuples(st.integers(2, 70_000), st.integers(1, 300)).map(lambda t: [t[0]] * t[1]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_layout_matches_unique_reference(weights, seed):
+    w = np.array(weights, dtype=np.int64)
+    grid = CellGrid.from_weights(w)
+    for name, expected in _reference_layout(w).items():
+        actual = getattr(grid, name)
+        assert actual.dtype == expected.dtype, name
+        np.testing.assert_array_equal(actual, expected, err_msg=name)
+    cells = np.random.default_rng(seed).integers(0, w.size, 200)
+    values, cell_counts, node_counts = grid.class_occupancy(cells)
+    per_value = np.bincount(w[cells], minlength=w.max() + 1)
+    np.testing.assert_array_equal(values, grid._class_values)
+    np.testing.assert_array_equal(cell_counts, grid._class_counts)
+    np.testing.assert_array_equal(node_counts, per_value[values])
+
+
 @given(
     weights=st.lists(st.integers(2, 50), min_size=1, max_size=40),
 )

@@ -13,6 +13,7 @@ from epimob import (
     preset_industrialized,
     serialize_config,
 )
+from epimob import harness
 from epimob.cli import OUT_DIR_ENV, cli_main
 from epimob.rng import ReplicateStreams
 
@@ -69,6 +70,24 @@ def test_run_writes_files_and_echoes_destination(tmp_path, capsys):
     assert f"wrote {dest}" in capsys.readouterr().out
     names = {p.name for p in dest.iterdir()}
     assert {"trace_0000.csv", "summary.csv", "manifest.json"} <= names
+
+
+def test_run_refuses_nul_in_out_dir(tmp_path, capsys):
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text("n=300\nout_dir=a\0b\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 2: out_dir" in err and "NUL" in err
+
+
+def test_unusable_out_dir_fails_before_any_replicate(tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("")
+    calls = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    code = cli_main(["run", "--n", "300", "--out-dir", str(tmp_path / "afile" / "sub")])
+    assert code == 3
+    assert "io error:" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_flags_override_config_file(tmp_path, capsys):

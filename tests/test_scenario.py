@@ -64,6 +64,9 @@ def test_time_trigger_condition():
     assert cond.met(4, 0, 100)
     with pytest.raises(ConfigError):
         TimeReached(0)
+    # serialize_config would write time:True, which parse_config refuses
+    with pytest.raises(ConfigError, match="trigger step"):
+        TimeReached(True)
 
 
 def test_prevalence_trigger_condition():
@@ -265,7 +268,7 @@ def _configs(draw):
 def test_serialize_parse_round_trip(config):
     assert parse_config(serialize_config(config)) == config
     # an out_dir that the key=value text cannot carry is refused up front
-    for bad in ["runs/#1", "a\nseed=7", "  x  ", "x\r", "a\x0cb", "a\u2028b"]:
+    for bad in ["runs/#1", "a\nseed=7", "  x  ", "x\r", "a\x0cb", "a\u2028b", "a\0b"]:
         with pytest.raises(ConfigError, match="out_dir"):
             dataclasses.replace(config, out_dir=bad)
 
