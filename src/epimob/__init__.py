@@ -7,22 +7,31 @@ mid-run interventions can swap in a new environment.  Exact small-instance
 oracles validate the Monte Carlo engine.
 """
 
+# The single source of the version, read by pyproject.toml and written into
+# every manifest as engine_version; it comes before the imports because
+# harness reads it at import time.  Bump it whenever outputs change at
+# fixed seeds.
+__version__ = "0.2.0"
+
 from .attractiveness import (
     CellGrid,
     EpidemicParams,
     attractiveness_cutoff,
     build_grid,
     choose_cells,
+    draw_class_counts,
     power_law_pmf,
 )
 from .dynamics import (
     INFECTED,
+    CountState,
     NEVER_INFECTED,
     RECOVERED,
     UNINFECTED,
     PopulationState,
     StatusCounts,
     StepReport,
+    count_step,
     init_population,
     step,
     substep_move,
@@ -77,12 +86,11 @@ from .scenario import (
     serialize_config,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AggregateStats",
     "CellGrid",
     "ConfigError",
+    "CountState",
     "EpidemicParams",
     "INFECTED",
     "InterventionSchedule",
@@ -112,7 +120,9 @@ __all__ = [
     "causality_violations",
     "choose_cells",
     "contracting_fraction",
+    "count_step",
     "derive_seed",
+    "draw_class_counts",
     "engine_version",
     "enumerate_step",
     "exact_meeting_probability",

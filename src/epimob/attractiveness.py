@@ -12,9 +12,14 @@ weighted by (class count * class value) / W, then a uniform member of that
 class through a permutation of cell ids grouped by class.  Both lookups are
 O(1) and the whole path vectorises.
 
-The classes come from one stable argsort of the weights, cast to the
-narrowest unsigned type that holds m.  For m < 2**16, which covers every
-preset, numpy runs that sort as a radix sort, so a grid builds in O(K).
+A drawn grid never samples its K weights one by one: the number of cells
+at each value is Multinomial(K, power-law pmf), which draw_class_counts
+draws in O(m).  The count-level engine works from that histogram alone;
+build_grid expands it into cells laid out in class order.
+
+The classes of a CellGrid come from one stable argsort of the weights, cast
+to the narrowest unsigned type that holds m.  For m < 2**16, which covers
+every preset, numpy runs that sort as a radix sort, so a grid builds in O(K).
 """
 
 from __future__ import annotations
@@ -292,15 +297,28 @@ class CellGrid:
         return self._class_values, self._class_counts.copy(), nodes
 
 
+def draw_class_counts(params: EpidemicParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a grid's class histogram: (distinct weights, cells carrying each).
+
+    The K = round(kappa * n) weights are i.i.d. power-law draws, so the
+    number of cells at each value 2..m is Multinomial(K, power_law_pmf).
+    One multinomial draw costs O(m) whatever K is.  Empty classes are
+    dropped, so values is increasing and every count is positive.
+    """
+    counts = rng.multinomial(params.num_cells, power_law_pmf(params.alpha, params.max_attractiveness))
+    values = np.arange(2, params.max_attractiveness + 1, dtype=np.int64)
+    keep = counts > 0
+    return values[keep], counts[keep]
+
+
 def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:
-    """Draw a fresh grid of round(kappa * n) cells from the power law."""
-    cutoff = params.max_attractiveness
-    pmf = power_law_pmf(params.alpha, cutoff)
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0  # guard against cumsum round-off
-    u = rng.random(params.num_cells)
-    d = np.searchsorted(cdf, u, side="right") + 2
-    return CellGrid(d, cutoff, alpha=params.alpha)
+    """Draw a fresh grid of round(kappa * n) cells from the power law.
+
+    Cells are laid out in class order.  The multiset of weights has the law
+    of K i.i.d. power-law draws; only the cell ids, which are labels, differ.
+    """
+    values, counts = draw_class_counts(params, rng)
+    return CellGrid(np.repeat(values, counts), params.max_attractiveness, alpha=params.alpha)
 
 
 def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndarray:

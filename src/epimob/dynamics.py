@@ -13,6 +13,19 @@ Each step j runs three substeps in a fixed order:
 A node infected during step j therefore transmits for the first time in
 step j + 1 and is infectious through step j + tau, after which it retires.
 Recovered nodes keep relocating but neither transmit nor get infected.
+
+step() is the per-node reference engine: it places all n nodes every step,
+in O(n + K).  count_step() is the count-level engine, equal in law to it and
+O(|I| + m) per step, where I is the infectious set and m the largest
+attractiveness.  It places only the infectious nodes.  Given their cells,
+each uninfected node independently picks cell v with probability d_v / W
+and is infected there with probability 1 - (1 - beta) ** m_v, m_v being the
+number of infectious nodes in v.  So the step's new infections are
+Binomial(|U|, Q), with Q = sum_v (d_v / W) * (1 - (1 - beta) ** m_v), and
+their split over attractiveness bands is Multinomial(new, each band's share
+of Q).  Recovered nodes need no placing at all.  Its state is |U|, the
+recovered count and the infection cohorts, keyed by infection step, so
+nothing it holds grows with n or K.
 """
 
 from __future__ import annotations
@@ -189,6 +202,115 @@ def step(
     return StepReport(
         step=state.step,
         new_infections_total=int(newly.size),
+        new_infections_by_group=by_group,
+        newly_recovered=retired,
+    )
+
+
+@dataclass
+class CountState:
+    """State of the count-level engine, advanced in place by count_step.
+
+    uninfected, recovered: node counts
+    cohorts:  infection step -> number of nodes infected at that step that
+              have not retired yet; the initial cases are cohort 0
+    step:     index of the most recently completed step (0 before any)
+    """
+
+    uninfected: int
+    recovered: int
+    cohorts: dict
+    step: int = 0
+
+    @classmethod
+    def initial(cls, params: EpidemicParams) -> "CountState":
+        """State at step 0: `initial_infected` cases, everyone else uninfected."""
+        return cls(params.n - params.initial_infected, 0, {0: params.initial_infected})
+
+    def counts(self) -> StatusCounts:
+        return StatusCounts(self.uninfected, sum(self.cohorts.values()), self.recovered)
+
+
+def _class_exposure(
+    values: np.ndarray, sizes: np.ndarray, infectious: int, beta: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Place `infectious` nodes and return _exposure_by_class of their cells.
+
+    Each node picks class c with probability v_c * n_c / W and then a
+    uniform member of the class, which is the per-node law d_v / W.
+    """
+    per_class = rng.multinomial(infectious, values * sizes / int(values @ sizes))
+    cls = np.repeat(np.arange(values.size), per_class)
+    size = sizes[cls]
+    off = (rng.random(infectious) * size).astype(np.int64)
+    np.minimum(off, size - 1, out=off)  # u < 1 but float round-up can hit size
+    return _exposure_by_class(np.cumsum(sizes)[cls] - size + off, sizes, beta)
+
+
+def _exposure_by_class(cells: np.ndarray, sizes: np.ndarray, beta: float) -> np.ndarray:
+    """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v.
+
+    m_v counts the entries of `cells` equal to v; cells are numbered in
+    class order, class c holding sizes[c] consecutive ids.  The entries
+    collapse to occupied cells by sorting when they are few relative to
+    the grid, else by a bincount over it; both give the same sums.
+    """
+    start = np.cumsum(sizes) - sizes
+    num_cells = int(sizes.sum())
+
+    def infection_probability(hits):
+        return hits > 0 if beta >= 1.0 else -np.expm1(np.log1p(-beta) * hits)
+
+    if cells.size * 8 < num_cells:
+        occupied, hits = np.unique(cells, return_counts=True)
+        cls = np.searchsorted(start, occupied, side="right") - 1
+        return np.bincount(cls, weights=infection_probability(hits), minlength=sizes.size)
+    hits = np.bincount(cells, minlength=num_cells)
+    return np.add.reduceat(infection_probability(hits), start, dtype=np.float64)
+
+
+def count_step(
+    state: CountState,
+    classes: tuple[np.ndarray, np.ndarray],
+    params: EpidemicParams,
+    rng,
+) -> StepReport:
+    """Advance a CountState by one step and report what happened.
+
+    classes is the grid's class histogram (values, cell counts), as drawn
+    by draw_class_counts.  `rng` is a Generator or a bundle exposing
+    .movement (placing the infectious nodes) and .transmission (the
+    binomial and the band split).  Transmission and retirement follow
+    step() exactly, including the <= retire rule.
+    """
+    if state.step >= params.max_steps:
+        raise ValueError("run already reached max_steps")
+    state.step += 1
+    move_rng, transmit_rng = _role_streams(rng)
+    values, sizes = classes
+    by_group = np.zeros(int(values[-1]).bit_length(), dtype=np.int64)
+    infectious = sum(state.cohorts.values())
+    if infectious and state.uninfected:
+        exposure = _class_exposure(values, sizes, infectious, params.beta, move_rng)
+        # class c's share of Q is (v_c / W) * exposure_c; bands are floor(log2(v_c))
+        bands = np.bincount(
+            np.frexp(values)[1] - 1,
+            weights=values * exposure / int(values @ sizes),
+            minlength=by_group.size,
+        )
+        q = bands.sum()
+        new = int(transmit_rng.binomial(state.uninfected, min(q, 1.0)))
+        if new:
+            by_group = transmit_rng.multinomial(new, bands / q)
+            state.cohorts[state.step] = new
+            state.uninfected -= new
+    retired = 0
+    for t in [t for t in state.cohorts if t <= state.step - params.tau]:
+        retired += state.cohorts.pop(t)
+    state.recovered += retired
+    return StepReport(
+        step=state.step,
+        new_infections_total=int(by_group.sum()),
         new_infections_by_group=by_group,
         newly_recovered=retired,
     )

@@ -1,7 +1,9 @@
 """Monte Carlo replication runner: seeding, parallelism, aggregation, output.
 
-Each replicate r of a run with master seed s consumes four random streams
-derived purely from (s, r): grid, init, movement, transmission.  Replicates
+Each replicate r of a run with master seed s draws only from four random
+streams derived purely from (s, r): grid, init, movement, transmission.
+The count-level engine runs by default and the per-node engine when
+log_cells is set; both draw from these streams.  Replicates
 therefore produce identical bytes whether they run serially or spread over
 worker processes, and the manifest (config text plus master seed) fully
 determines every output byte except wall-clock metadata.
@@ -17,12 +19,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from importlib import metadata as _importlib_metadata
 
 import numpy as np
 
-from .attractiveness import EpidemicParams, build_grid
-from .dynamics import INFECTED, init_population, step
+from . import __version__
+from .attractiveness import EpidemicParams, build_grid, draw_class_counts
+from .dynamics import (
+    INFECTED,
+    CountState,
+    StatusCounts,
+    StepReport,
+    count_step,
+    init_population,
+    step,
+)
 from .metrics import (
     ReplicateSummary,
     SimulationTrace,
@@ -31,26 +41,33 @@ from .metrics import (
     write_trace_csv,
 )
 from .rng import ReplicateStreams, derive_seed
-from .scenario import InterventionSchedule, ScenarioConfig, apply_intervention, serialize_config
+from .scenario import (
+    InterventionSchedule,
+    ParamOverlay,
+    ScenarioConfig,
+    apply_intervention,
+    serialize_config,
+)
 
 
 def engine_version() -> str:
-    try:
-        return _importlib_metadata.version("epimob")
-    except _importlib_metadata.PackageNotFoundError:
-        return "unknown"
+    """The package version; it changes whenever outputs change at fixed seeds."""
+    return __version__
 
 
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run, plus wall-clock metadata.
 
-    derived_seeds[r] is a pure function of (master_seed, r).  started_at
+    engine is "count" or "per-node", the engine that produced the traces;
+    the two agree in law, not byte for byte.  derived_seeds[r] is a pure
+    function of (master_seed, r).  started_at
     and wall_seconds are informational only and excluded from the
     determinism guarantee.
     """
 
     engine_version: str
+    engine: str
     master_seed: int
     replications: int
     derived_seeds: list
@@ -126,6 +143,62 @@ def _group_width(params: EpidemicParams, schedule: InterventionSchedule) -> int:
     return width
 
 
+class _NodeEngine:
+    """Per-node reference engine (dynamics.step); runs when log_cells is set.
+
+    Places all n nodes every step and records each step's cells and
+    infectious mask in the trace.
+    """
+
+    name = "per-node"
+
+    def __init__(self, params: EpidemicParams, streams: ReplicateStreams, builder: TraceBuilder) -> None:
+        self.params = params
+        self.streams = streams
+        self.builder = builder
+        self.grid = build_grid(params, streams.grid)
+        self.state = init_population(params, streams.init)
+
+    def advance(self) -> StepReport:
+        was_infectious = self.state.status == INFECTED
+        report = step(self.state, self.grid, self.params, self.streams)
+        self.builder.record_logs(self.state.current_cell.copy(), was_infectious)
+        return report
+
+    def apply(self, overlay: ParamOverlay) -> None:
+        self.params, self.grid = apply_intervention(
+            self.state, self.grid, self.params, overlay, self.streams.grid
+        )
+
+
+class _CountEngine:
+    """Count-level engine (dynamics.count_step), equal in law to the per-node one.
+
+    Holds only counts and the grid's class histogram, nothing of size n or K.
+    """
+
+    name = "count"
+
+    def __init__(self, params: EpidemicParams, streams: ReplicateStreams, builder: TraceBuilder) -> None:
+        self.params = params
+        self.streams = streams
+        self.classes = draw_class_counts(params, streams.grid)
+        self.state = CountState.initial(params)  # no cells to log: builder is unused
+
+    def advance(self) -> StepReport:
+        return count_step(self.state, self.classes, self.params, self.streams)
+
+    def apply(self, overlay: ParamOverlay) -> None:
+        # same rule as scenario.apply_intervention: merged params, fresh grid
+        self.params = overlay.merge(self.params)
+        self.classes = draw_class_counts(self.params, self.streams.grid)
+
+
+def _engine(config: ScenarioConfig):
+    """The engine class a run uses: per-node when cells are logged, else count-level."""
+    return _NodeEngine if config.log_cells else _CountEngine
+
+
 def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSummary, SimulationTrace]:
     """Run one replicate to extinction or the step cap.
 
@@ -134,32 +207,28 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
     """
     streams = ReplicateStreams.from_seed(config.seed, replicate)
     params = config.params
-    grid = build_grid(params, streams.grid)
-    state = init_population(params, streams.init)
     builder = TraceBuilder(
-        state.counts(),
+        StatusCounts(params.n - params.initial_infected, params.initial_infected, 0),
         _group_width(params, config.schedule),
         params.tau,
         log_cells=config.log_cells,
     )
+    engine = _engine(config)(params, streams, builder)
+    state = engine.state
     fired: list = [None] * len(config.schedule)
     counts = state.counts()
 
     def fire_due() -> None:
-        nonlocal params, grid
         for idx, trig in enumerate(config.schedule):
             if fired[idx] is None and trig.condition.met(state.step, counts.infected, params.n):
-                params, grid = apply_intervention(state, grid, params, trig.overlay, streams.grid)
+                engine.apply(trig.overlay)
                 fired[idx] = state.step
 
     fire_due()
     while counts.infected > 0 and state.step < params.max_steps:
-        was_infectious = state.status == INFECTED
-        report = step(state, grid, params, streams)
+        report = engine.advance()
         counts = state.counts()
         builder.record(report, counts)
-        if config.log_cells:
-            builder.record_logs(state.current_cell.copy(), was_infectious)
         fire_due()
 
     extinct = counts.infected == 0
@@ -209,6 +278,7 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
 
     manifest = RunManifest(
         engine_version=engine_version(),
+        engine=_engine(config).name,
         master_seed=config.seed,
         replications=config.replications,
         derived_seeds=[derive_seed(config.seed, r) for r in range(config.replications)],

@@ -1,6 +1,9 @@
 """Command-line behavior: subcommands, precedence rules, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +138,17 @@ def test_out_dir_env_var_and_flag_precedence(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert (flag_dir / "summary.csv").exists()
     assert not (env_dir / "trace_0001.csv").exists()  # env dir untouched by 2nd run
+
+
+def test_python_dash_m_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "epimob", "preset", "emerging", "--n", "1000"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == serialize_config(preset_emerging(1000))
 
 
 def test_log_cells_flag_lands_in_manifest(tmp_path, capsys):

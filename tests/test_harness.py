@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import epimob
 from epimob import (
     EpidemicParams,
     InterventionSchedule,
@@ -49,8 +50,16 @@ def test_derive_seed_is_pure_and_spreads():
 
 
 def test_engine_version_is_a_version_string():
-    v = engine_version()
-    assert isinstance(v, str) and v
+    assert engine_version() == epimob.__version__
+
+
+def test_written_manifest_names_version_and_engine(tmp_path):
+    for log_cells, engine in ((False, "count"), (True, "per-node")):
+        out_dir = tmp_path / engine
+        run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["engine_version"] == epimob.__version__ == "0.2.0"
+        assert manifest["engine"] == engine
 
 
 def test_aggregate_stats_hand_computed():
