@@ -11,7 +11,7 @@ oracles validate the Monte Carlo engine.
 # every manifest as engine_version; it comes before the imports because
 # harness reads it at import time.  Bump it whenever outputs change at
 # fixed seeds.
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .attractiveness import (
     CellGrid,
@@ -24,6 +24,7 @@ from .attractiveness import (
 )
 from .dynamics import (
     INFECTED,
+    CountGrid,
     CountState,
     NEVER_INFECTED,
     RECOVERED,
@@ -90,6 +91,7 @@ __all__ = [
     "AggregateStats",
     "CellGrid",
     "ConfigError",
+    "CountGrid",
     "CountState",
     "EpidemicParams",
     "INFECTED",

@@ -15,22 +15,27 @@ step j + 1 and is infectious through step j + tau, after which it retires.
 Recovered nodes keep relocating but neither transmit nor get infected.
 
 step() is the per-node reference engine: it places all n nodes every step,
-in O(n + K).  count_step() is the count-level engine, equal in law to it and
-O(|I| + m) per step, where I is the infectious set and m the largest
-attractiveness.  It places only the infectious nodes.  Given their cells,
-each uninfected node independently picks cell v with probability d_v / W
-and is infected there with probability 1 - (1 - beta) ** m_v, m_v being the
-number of infectious nodes in v.  So the step's new infections are
-Binomial(|U|, Q), with Q = sum_v (d_v / W) * (1 - (1 - beta) ** m_v), and
-their split over attractiveness bands is Multinomial(new, each band's share
-of Q).  Recovered nodes need no placing at all.  Its state is |U|, the
-recovered count and the infection cohorts, keyed by infection step, so
-nothing it holds grows with n or K.
+in O(n + K).  count_step() is the count-level engine, equal in law to it.
+It places only the infectious nodes I.  Given their cells, each uninfected
+node independently picks cell v with probability d_v / W and is infected
+there with probability 1 - (1 - beta) ** m_v, m_v being the number of
+infectious nodes in v.  So the step's new infections are Binomial(|U|, Q),
+with Q = sum_v (d_v / W) * (1 - (1 - beta) ** m_v), and their split over
+attractiveness bands is Multinomial(new, each band's share of Q).
+Recovered nodes need no placing at all.  Its state is |U|, the recovered
+count and the infection cohorts, keyed by infection step, so nothing it
+holds grows with n or K.
+
+While 8 * |I| < K a count step collapses the placed cells by sorting, in
+O(|I| + m), m being the largest attractiveness.  Otherwise it places the
+nodes block by block (see BlockLayout): O(|I| + K) time, but at most
+BLOCK_CELLS hit counts and CHUNK_PLACEMENTS placements in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -231,54 +236,196 @@ class CountState:
         return StatusCounts(self.uninfected, sum(self.cohorts.values()), self.recovered)
 
 
-def _class_exposure(
-    values: np.ndarray, sizes: np.ndarray, infectious: int, beta: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Place `infectious` nodes and return _exposure_by_class of their cells.
+# A dense count step (8 * |I| >= K) places the infectious nodes one block of
+# at most BLOCK_CELLS cells at a time, at most CHUNK_PLACEMENTS nodes at a
+# time.  It holds O(BLOCK_CELLS + CHUNK_PLACEMENTS) numbers plus a few per
+# segment (fewer than K / BLOCK_CELLS + m + 1 segments), however large |I|
+# is, and its bincounts stay cache-resident.
+BLOCK_CELLS = 2**16
+CHUNK_PLACEMENTS = 2**16
 
-    Each node picks class c with probability v_c * n_c / W and then a
-    uniform member of the class, which is the per-node law d_v / W.
+
+class BlockLayout(NamedTuple):
+    """The cells of a CountGrid cut into blocks and segments for dense steps.
+
+    Block b holds cells [b * BLOCK_CELLS, (b + 1) * BLOCK_CELLS).  Cutting
+    the cell ids at every class start and every block start gives the
+    segments, so a segment lies in one class and one block, a class larger
+    than a block spans several segments, and the segments of one block
+    belong to distinct classes.
+
+    pick:        probability that a node picks segment s
+    length:      cells in segment s
+    offset:      first cell of segment s within its block
+    class_first: first segment of each class
+    block_first: block b holds segments block_first[b]:block_first[b + 1]
     """
-    per_class = rng.multinomial(infectious, values * sizes / int(values @ sizes))
-    cls = np.repeat(np.arange(values.size), per_class)
-    size = sizes[cls]
-    off = (rng.random(infectious) * size).astype(np.int64)
-    np.minimum(off, size - 1, out=off)  # u < 1 but float round-up can hit size
-    return _exposure_by_class(np.cumsum(sizes)[cls] - size + off, sizes, beta)
+
+    pick: np.ndarray
+    length: np.ndarray
+    offset: np.ndarray
+    class_first: np.ndarray
+    block_first: np.ndarray
 
 
-def _exposure_by_class(cells: np.ndarray, sizes: np.ndarray, beta: float) -> np.ndarray:
+@dataclass(eq=False)
+class CountGrid:
+    """A grid as count_step sees it: its class histogram and derived tables.
+
+    values, sizes: the distinct weights in increasing order and the number
+                   of cells carrying each, as drawn by draw_class_counts;
+                   cells are numbered in class order
+
+    Derived fields (built once per grid, reused by every step):
+
+    num_cells:    K
+    total_weight: W, the summed attractiveness
+    pick:         probability v_c * n_c / W that a node picks class c
+    band:         attractiveness band floor(log2(v_c)) of each class
+    num_bands:    band columns of a StepReport, floor(log2(max v)) + 1
+    start:        first cell id of each class
+    layout:       the BlockLayout, built by the grid's first dense step, so
+                  a grid that never takes one (a small outbreak on a large
+                  grid) never builds it
+    """
+
+    values: np.ndarray
+    sizes: np.ndarray
+
+    num_cells: int = field(init=False)
+    total_weight: int = field(init=False)
+    pick: np.ndarray = field(init=False, repr=False)
+    band: np.ndarray = field(init=False, repr=False)
+    num_bands: int = field(init=False)
+    start: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        values, sizes = self.values, self.sizes
+        self.num_cells = int(sizes.sum())
+        self.total_weight = int(values @ sizes)
+        self.pick = values * sizes / self.total_weight
+        self.band = np.frexp(values)[1] - 1
+        self.num_bands = int(values[-1]).bit_length()
+        self.start = np.cumsum(sizes) - sizes
+
+    @cached_property
+    def layout(self) -> BlockLayout:
+        seg_start = np.union1d(self.start, np.arange(0, self.num_cells, BLOCK_CELLS))
+        length = np.diff(seg_start, append=self.num_cells)
+        seg_class = np.searchsorted(self.start, seg_start, side="right") - 1
+        blocks = -(-self.num_cells // BLOCK_CELLS)
+        return BlockLayout(
+            pick=self.values[seg_class] * length / self.total_weight,
+            length=length,
+            offset=seg_start % BLOCK_CELLS,
+            class_first=np.searchsorted(seg_start, self.start),
+            block_first=np.searchsorted(seg_start, np.arange(blocks + 1) * BLOCK_CELLS),
+        )
+
+
+def _infection_probability(hits: np.ndarray, beta: float) -> np.ndarray:
+    """1 - (1 - beta) ** hits, elementwise; a bool array when beta is 1.
+
+    Below 1 the values are computed once per distinct hit count and looked
+    up, which gives the same numbers as computing them per cell.
+    """
+    if beta >= 1.0:
+        return hits > 0
+    return -np.expm1(np.log1p(-beta) * np.arange(hits.max() + 1))[hits]
+
+
+def _class_exposure(
+    grid: CountGrid, infectious: int, beta: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Place `infectious` nodes; per class, the sum over its cells of 1 - (1 - beta) ** m_v.
+
+    Each node picks cell v with probability d_v / W.  When 8 * |I| < K the
+    nodes pick a class (probability v_c * n_c / W) and a uniform member of
+    it, and _exposure_by_class collapses their cells by sorting.  Otherwise
+    they pick a segment and a uniform cell in it, block by block, and
+    _blocked_exposure collapses each block's hit counts.  Both are the
+    per-node law d_v / W.
+    """
+    if infectious * 8 < grid.num_cells:
+        per_class = rng.multinomial(infectious, grid.pick)
+        cls = np.repeat(np.arange(grid.values.size), per_class)
+        size = grid.sizes[cls]
+        off = (rng.random(infectious) * size).astype(np.int64)
+        np.minimum(off, size - 1, out=off)  # u < 1 but float round-up can hit size
+        return _exposure_by_class(grid.start[cls] + off, grid, beta)
+    layout = grid.layout
+    seg_counts = rng.multinomial(infectious, layout.pick)
+    return _blocked_exposure(layout, _block_hits(layout, seg_counts, rng), beta)
+
+
+def _exposure_by_class(cells: np.ndarray, grid: CountGrid, beta: float) -> np.ndarray:
     """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v.
 
-    m_v counts the entries of `cells` equal to v; cells are numbered in
-    class order, class c holding sizes[c] consecutive ids.  The entries
-    collapse to occupied cells by sorting when they are few relative to
-    the grid, else by a bincount over it; both give the same sums.
+    m_v counts the entries of `cells` equal to v; sorting collapses them to
+    the occupied cells, so the cost is O(len(cells)), not O(K).
     """
-    start = np.cumsum(sizes) - sizes
-    num_cells = int(sizes.sum())
+    occupied, hits = np.unique(cells, return_counts=True)
+    cls = np.searchsorted(grid.start, occupied, side="right") - 1
+    return np.bincount(cls, weights=_infection_probability(hits, beta), minlength=grid.values.size)
 
-    def infection_probability(hits):
-        return hits > 0 if beta >= 1.0 else -np.expm1(np.log1p(-beta) * hits)
 
-    if cells.size * 8 < num_cells:
-        occupied, hits = np.unique(cells, return_counts=True)
-        cls = np.searchsorted(start, occupied, side="right") - 1
-        return np.bincount(cls, weights=infection_probability(hits), minlength=sizes.size)
-    hits = np.bincount(cells, minlength=num_cells)
-    return np.add.reduceat(infection_probability(hits), start, dtype=np.float64)
+def _block_hits(layout: BlockLayout, seg_counts: np.ndarray, rng: np.random.Generator):
+    """Yield (block, hits): per cell of each occupied block, the nodes placed there.
+
+    seg_counts[s] nodes land uniformly on the cells of segment s.  They are
+    drawn at most CHUNK_PLACEMENTS at a time into one hit array per block,
+    so nothing held is longer than BLOCK_CELLS or CHUNK_PLACEMENTS.
+    """
+    bounds = layout.block_first
+    block_total = np.add.reduceat(seg_counts, bounds[:-1])
+    for b in np.flatnonzero(block_total):
+        lo, hi = bounds[b], bounds[b + 1]
+        counts = seg_counts[lo:hi]
+        offset, length = layout.offset[lo:hi], layout.length[lo:hi]
+        width = int(offset[-1] + length[-1])
+        total = int(block_total[b])
+        ends = np.cumsum(counts)
+        for first in range(0, total, CHUNK_PLACEMENTS):
+            last = min(first + CHUNK_PLACEMENTS, total)
+            # nodes first..last-1 of the block, counted per segment
+            take = np.diff(np.clip(ends, first, last), prepend=first)
+            size = np.repeat(length, take)
+            cell = (rng.random(last - first) * size).astype(np.int64)
+            np.minimum(cell, size - 1, out=cell)  # u < 1 but float round-up can hit size
+            cell += np.repeat(offset, take)
+            if first:
+                hits += np.bincount(cell, minlength=width)
+            else:
+                hits = np.bincount(cell, minlength=width)
+        yield b, hits
+
+
+def _blocked_exposure(layout: BlockLayout, block_hits, beta: float) -> np.ndarray:
+    """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v.
+
+    block_hits yields (block, hit count per cell of the block) for every
+    block that holds a node; each block is collapsed to its segments, and
+    the segments to their classes.
+    """
+    seg_sums = np.zeros(layout.length.size)
+    for b, hits in block_hits:
+        lo, hi = layout.block_first[b], layout.block_first[b + 1]
+        seg_sums[lo:hi] = np.add.reduceat(
+            _infection_probability(hits, beta), layout.offset[lo:hi], dtype=np.float64
+        )
+    return np.add.reduceat(seg_sums, layout.class_first)
 
 
 def count_step(
     state: CountState,
-    classes: tuple[np.ndarray, np.ndarray],
+    grid: CountGrid,
     params: EpidemicParams,
     rng,
 ) -> StepReport:
     """Advance a CountState by one step and report what happened.
 
-    classes is the grid's class histogram (values, cell counts), as drawn
-    by draw_class_counts.  `rng` is a Generator or a bundle exposing
+    grid is the CountGrid of the grid's class histogram, as drawn by
+    draw_class_counts.  `rng` is a Generator or a bundle exposing
     .movement (placing the infectious nodes) and .transmission (the
     binomial and the band split).  Transmission and retirement follow
     step() exactly, including the <= retire rule.
@@ -287,16 +434,13 @@ def count_step(
         raise ValueError("run already reached max_steps")
     state.step += 1
     move_rng, transmit_rng = _role_streams(rng)
-    values, sizes = classes
-    by_group = np.zeros(int(values[-1]).bit_length(), dtype=np.int64)
+    by_group = np.zeros(grid.num_bands, dtype=np.int64)
     infectious = sum(state.cohorts.values())
     if infectious and state.uninfected:
-        exposure = _class_exposure(values, sizes, infectious, params.beta, move_rng)
-        # class c's share of Q is (v_c / W) * exposure_c; bands are floor(log2(v_c))
+        exposure = _class_exposure(grid, infectious, params.beta, move_rng)
+        # class c's share of Q is (v_c / W) * exposure_c
         bands = np.bincount(
-            np.frexp(values)[1] - 1,
-            weights=values * exposure / int(values @ sizes),
-            minlength=by_group.size,
+            grid.band, weights=grid.values * exposure / grid.total_weight, minlength=by_group.size
         )
         q = bands.sum()
         new = int(transmit_rng.binomial(state.uninfected, min(q, 1.0)))

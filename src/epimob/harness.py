@@ -26,6 +26,7 @@ from . import __version__
 from .attractiveness import EpidemicParams, build_grid, draw_class_counts
 from .dynamics import (
     INFECTED,
+    CountGrid,
     CountState,
     StatusCounts,
     StepReport,
@@ -174,7 +175,8 @@ class _NodeEngine:
 class _CountEngine:
     """Count-level engine (dynamics.count_step), equal in law to the per-node one.
 
-    Holds only counts and the grid's class histogram, nothing of size n or K.
+    Holds only counts and the grid's class tables (a CountGrid, built once
+    per grid), nothing of size n or K.
     """
 
     name = "count"
@@ -182,16 +184,16 @@ class _CountEngine:
     def __init__(self, params: EpidemicParams, streams: ReplicateStreams, builder: TraceBuilder) -> None:
         self.params = params
         self.streams = streams
-        self.classes = draw_class_counts(params, streams.grid)
+        self.grid = CountGrid(*draw_class_counts(params, streams.grid))
         self.state = CountState.initial(params)  # no cells to log: builder is unused
 
     def advance(self) -> StepReport:
-        return count_step(self.state, self.classes, self.params, self.streams)
+        return count_step(self.state, self.grid, self.params, self.streams)
 
     def apply(self, overlay: ParamOverlay) -> None:
         # same rule as scenario.apply_intervention: merged params, fresh grid
         self.params = overlay.merge(self.params)
-        self.classes = draw_class_counts(self.params, self.streams.grid)
+        self.grid = CountGrid(*draw_class_counts(self.params, self.streams.grid))
 
 
 def _engine(config: ScenarioConfig):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -44,8 +45,9 @@ class PrevalenceReached:
     fraction: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError("trigger prevalence fraction must lie in (0, 1]")
+        real = isinstance(self.fraction, numbers.Real) and not isinstance(self.fraction, bool)
+        if not (real and 0.0 < self.fraction <= 1.0):
+            raise ConfigError("trigger prevalence fraction must be a number in (0, 1]")
 
     def met(self, step: int, infected: int, n: int) -> bool:
         return infected >= self.fraction * n
@@ -317,7 +319,7 @@ def serialize_config(config: ScenarioConfig) -> str:
         head = (
             f"time:{cond.step}"
             if isinstance(cond, TimeReached)
-            else f"prevalence:{cond.fraction!r}"
+            else f"prevalence:{float(cond.fraction)!r}"
         )
         overrides = ",".join(
             f"{k}={FIELDS[k].format(v)}" for k, v in trig.overlay._changes().items()

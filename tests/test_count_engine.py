@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from epimob import (
     RECOVERED,
     UNINFECTED,
     CellGrid,
+    CountGrid,
     CountState,
     EpidemicParams,
     ScenarioConfig,
@@ -26,9 +28,10 @@ from epimob import (
     run_replicate,
     run_replications,
 )
-from epimob import harness
-from epimob.dynamics import _exposure_by_class
+from epimob import dynamics, harness
+from epimob.dynamics import _block_hits, _blocked_exposure, _exposure_by_class
 from epimob.rng import substream
+from epimob.scenario import preset_emerging
 
 # the benchmark's oracle rule: 5 standard errors plus 5 counts per outcome
 Z = 5.0
@@ -43,7 +46,15 @@ def _agrees(counts: np.ndarray, exact: np.ndarray) -> bool:
 
 def _classes(weights):
     values, sizes = np.unique(np.asarray(weights, dtype=np.int64), return_counts=True)
-    return values, sizes.astype(np.int64)
+    return CountGrid(values, sizes.astype(np.int64))
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    # blocks of 2 cells placed 2 nodes at a time: grids of a few cells then
+    # have several blocks, classes spanning blocks and several chunks a block
+    monkeypatch.setattr(dynamics, "BLOCK_CELLS", 2)
+    monkeypatch.setattr(dynamics, "CHUNK_PLACEMENTS", 2)
 
 
 def _params(n_nodes: int, beta: float) -> EpidemicParams:
@@ -73,6 +84,11 @@ def test_count_step_matches_enumeration(beta):
         assert _agrees(counts, exact), (weights, statuses, counts.tolist(), exact.tolist())
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_count_step_matches_enumeration_in_tiny_blocks(beta, tiny_blocks):
+    test_count_step_matches_enumeration(beta)
+
+
 def _exact_band_pmf(weights, i_count, u_count, beta):
     """P(n1 new in band 1, n2 new in band 2), enumerating the infectious placements."""
     weights = np.asarray(weights)
@@ -95,7 +111,7 @@ def _exact_band_pmf(weights, i_count, u_count, beta):
 @pytest.mark.parametrize(
     "weights",
     [
-        [2, 3, 3, 4, 6],  # 8 * |I| >= K: occupied cells found by a bincount
+        [2, 3, 3, 4, 6],  # 8 * |I| >= K: hit counts placed block by block
         [2, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 5, 6, 7, 7, 7, 7],  # 8 * |I| < K: by sorting
     ],
 )
@@ -115,6 +131,12 @@ def test_band_split_matches_exact_band_masses(weights):
         assert by_group[0] == 0 and by_group.sum() == report.new_infections_total
         counts[by_group[1], by_group[2]] += 1
     assert _agrees(counts.ravel(), exact.ravel()), counts.tolist()
+
+
+# the second grid has 15 cells, so it too takes the blocked path
+@pytest.mark.parametrize("weights", [[2, 3, 3, 4, 6], [2, 2, 2, 3, 3, 3, 3, 4, 5, 5, 6, 7, 7, 7, 7]])
+def test_band_split_matches_exact_band_masses_in_tiny_blocks(weights, tiny_blocks):
+    test_band_split_matches_exact_band_masses(weights)
 
 
 def test_count_step_retires_cohorts_with_the_per_node_rule():
@@ -176,10 +198,35 @@ def test_count_engine_cost_is_bounded_in_n():
     assert elapsed < 0.5
 
 
-@given(data=st.data(), beta=st.sampled_from([1.0, 0.5, 0.0]))
+def test_dense_count_step_memory_is_bounded():
+    # |I| = 6e5 on a 1e6-cell grid: placements are drawn block by block and
+    # chunk by chunk, so nothing of length |I| or K is held
+    params = preset_emerging(10**6).params
+    grid = CountGrid(*draw_class_counts(params, substream(5, 0, 0)))
+    state = CountState(params.n - 600_000, 0, {0: 600_000})
+    tracemalloc.start()
+    try:
+        report = count_step(state, grid, params, substream(5, 0, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.new_infections_total > 0
+    # 64 bytes per block cell, chunk placement and segment: just over 8 MiB
+    # with the default 2**16-cell blocks and 2**16-placement chunks
+    segments = params.num_cells // dynamics.BLOCK_CELLS + grid.values.size + 1
+    assert peak < 64 * (dynamics.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + segments)
+
+
+@given(
+    data=st.data(),
+    beta=st.sampled_from([1.0, 0.5, 0.0]),
+    block=st.integers(1, 40),
+    chunk=st.integers(1, 70),
+)
 @settings(max_examples=80, deadline=None)
-def test_exposure_sums_match_a_direct_count(data, beta):
-    # up to 180 cells and 60 draws: both the sorting and the bincount collapse run
+def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
+    # up to 180 cells and 60 draws, collapsed by sorting and block by block,
+    # with blocks of 1 to 40 cells and chunks of 1 to 70 placements
     sizes = np.array(data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=6)), dtype=np.int64)
     num_cells = int(sizes.sum())
     cells = np.array(
@@ -189,4 +236,24 @@ def test_exposure_sums_match_a_direct_count(data, beta):
     per_cell = 1.0 - (1.0 - beta) ** hits
     cell_class = np.repeat(np.arange(sizes.size), sizes)
     want = [per_cell[cell_class == c].sum() for c in range(sizes.size)]
-    np.testing.assert_allclose(_exposure_by_class(cells, sizes, beta), want, rtol=1e-12, atol=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "BLOCK_CELLS", block)
+        mp.setattr(dynamics, "CHUNK_PLACEMENTS", chunk)
+        grid = CountGrid(np.arange(2, 2 + sizes.size), sizes)
+        np.testing.assert_allclose(_exposure_by_class(cells, grid, beta), want, rtol=1e-12, atol=1e-12)
+        layout = grid.layout
+        blocks = [(b, hits[b * block : (b + 1) * block]) for b in range(-(-num_cells // block))]
+        occupied = [(b, h) for b, h in blocks if h.any()]
+        np.testing.assert_allclose(_blocked_exposure(layout, occupied, beta), want, rtol=1e-12, atol=1e-12)
+
+        # segments tile each class within blocks, and placing a count per
+        # segment puts exactly that many nodes on the segment's cells
+        assert np.all(layout.length <= block)
+        np.testing.assert_array_equal(np.add.reduceat(layout.length, layout.class_first), sizes)
+        seg_counts = np.add.reduceat(hits, np.cumsum(layout.length) - layout.length)
+        placed = list(_block_hits(layout, seg_counts, substream(4104, num_cells, 2)))
+        assert [b for b, _ in placed] == [b for b, _ in occupied]
+        for (b, h), (_, direct) in zip(placed, occupied):
+            lo, hi = layout.block_first[b], layout.block_first[b + 1]
+            assert h.size == direct.size
+            np.testing.assert_array_equal(np.add.reduceat(h, layout.offset[lo:hi]), seg_counts[lo:hi])

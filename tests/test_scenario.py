@@ -78,6 +78,11 @@ def test_prevalence_trigger_condition():
         PrevalenceReached(0.0)
     with pytest.raises(ConfigError):
         PrevalenceReached(1.5)
+    assert PrevalenceReached(np.float64(0.02)).met(7, 2, 100)
+    # serialize_config would write prevalence:True, which parse_config refuses
+    for bad in [True, "0.5", None, float("nan")]:
+        with pytest.raises(ConfigError, match="prevalence fraction"):
+            PrevalenceReached(bad)
 
 
 def test_overlay_static_validation():
@@ -253,7 +258,9 @@ def _configs(draw):
     steps = draw(st.lists(st.integers(1, 10**6), max_size=3, unique=True))
     fracs = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=3, unique=True))
     triggers = [Trigger(TimeReached(s), draw(_overlays)) for s in sorted(steps)]
-    triggers += [Trigger(PrevalenceReached(f), draw(_overlays)) for f in sorted(fracs)]
+    # numpy floats too: a fraction is written as repr(float(f)), never np.float64(f)
+    to_real = draw(st.sampled_from([float, np.float64]))
+    triggers += [Trigger(PrevalenceReached(to_real(f)), draw(_overlays)) for f in sorted(fracs)]
     return ScenarioConfig(
         params=params,
         schedule=InterventionSchedule(tuple(triggers)),
