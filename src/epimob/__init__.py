@@ -24,7 +24,6 @@ from .attractiveness import (
 )
 from .dynamics import (
     INFECTED,
-    CountGrid,
     CountState,
     NEVER_INFECTED,
     RECOVERED,
@@ -91,7 +90,6 @@ __all__ = [
     "AggregateStats",
     "CellGrid",
     "ConfigError",
-    "CountGrid",
     "CountState",
     "EpidemicParams",
     "INFECTED",

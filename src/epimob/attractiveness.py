@@ -6,20 +6,18 @@ integer attractiveness d_v drawn from a truncated power law: support
 proportional to 1 / d ** alpha.  At every step each node independently picks
 a cell with probability d_v / W, where W is the summed attractiveness.
 
-Sampling a cell must not cost O(K) per draw, so the grid groups cells into
-classes of equal attractiveness.  A draw picks a class from an alias table
-weighted by (class count * class value) / W, then a uniform member of that
-class through a permutation of cell ids grouped by class.  Both lookups are
-O(1) and the whole path vectorises.
+Sampling a cell must not cost O(K) per draw, so a CellGrid is its class
+histogram: the distinct weights in increasing order and the number of cells
+at each.  A draw picks a class from an alias table weighted by (class count
+* class value) / W, then a uniform member of that class; both lookups are
+O(1) and the whole path vectorises.  Per-cell views are built on first use,
+so the count-level engine, which reads only the class tables, never holds
+anything of length K.
 
-A drawn grid never samples its K weights one by one: the number of cells
-at each value is Multinomial(K, power-law pmf), which draw_class_counts
-draws in O(m).  The count-level engine works from that histogram alone;
-build_grid expands it into cells laid out in class order.
-
-The classes of a CellGrid come from one stable argsort of the weights, cast
-to the narrowest unsigned type that holds m.  For m < 2**16, which covers
-every preset, numpy runs that sort as a radix sort, so a grid builds in O(K).
+build_grid draws the histogram as Multinomial(K, power-law pmf) in O(m) and
+numbers the cells in class order.  CellGrid.from_weights finds the classes
+of explicit weights by one stable argsort (an O(K) radix sort for weights
+below 2**16) and keeps that permutation unless the weights are sorted.
 """
 
 from __future__ import annotations
@@ -27,7 +25,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import cached_property
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -192,109 +191,136 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alias, accept
 
 
-@dataclass
-class CellGrid:
-    """Immutable cell layout plus the precomputed choice distribution.
+# A dense count step (see dynamics.count_step) places nodes one block of at
+# most BLOCK_CELLS cells at a time, so its hit counts stay cache-resident.
+BLOCK_CELLS = 2**16
 
-    Attributes set by the constructor:
 
-    attractiveness:     int array, one weight per cell, each in
-                        [2, max_attractiveness]
-    max_attractiveness: admissible upper bound for cell weights
-    alpha:              exponent the weights were drawn with, or None for
-                        hand-built grids
+class BlockLayout(NamedTuple):
+    """The cells of a CellGrid cut into blocks and segments for dense count steps.
 
-    Derived fields (built once, reused by every draw):
+    Block b holds cells [b * BLOCK_CELLS, (b + 1) * BLOCK_CELLS).  Cutting
+    the cell ids at every class start and every block start gives the
+    segments, so a segment lies in one class and one block, a class larger
+    than a block spans several segments, and the segments of one block
+    belong to distinct classes.
 
-    total_weight: W, the summed attractiveness
-    cell_group:   per-cell group index floor(log2(d)), used to bucket new
-                  infections by the attractiveness band they occurred in
-    _class_values, _class_counts, _class_start:
-                  the distinct weights in increasing order, how many cells
-                  carry each, and where each class begins in _perm
-    _perm:        cell ids sorted stably by weight, so each class's cells
-                  sit together in increasing id order
-    _alias, _accept:
-                  Vose alias table over the classes, weighted by
-                  value * count / W
+    pick:        probability that a node picks segment s
+    length:      cells in segment s
+    offset:      first cell of segment s within its block
+    class_first: first segment of each class
+    block_first: block b holds segments block_first[b]:block_first[b + 1]
     """
 
-    attractiveness: np.ndarray
+    pick: np.ndarray
+    length: np.ndarray
+    offset: np.ndarray
+    class_first: np.ndarray
+    block_first: np.ndarray
+
+
+@dataclass(eq=False)
+class CellGrid:
+    """A grid as its class histogram, plus the tables both engines reuse.
+
+    values, sizes: the distinct weights in increasing order, each in
+                   [2, max_attractiveness], and the number of cells at each
+    alpha:         exponent the weights were drawn with, or None
+    order:         cell ids sorted stably by weight, or None when the cell
+                   ids are already in class order
+
+    Built once: num_cells K; total_weight W; pick[c] = v_c * n_c / W, the
+    chance that a node picks class c; band[c] = floor(log2(v_c)); num_bands,
+    the band columns of a StepReport; start[c], where class c begins.
+
+    Built on first use, so the count-level engine never holds anything of
+    length K: per cell, attractiveness and cell_group (int16 band); alias,
+    the Vose table (alias, accept) over pick; layout, for dense count steps.
+    """
+
+    values: np.ndarray
+    sizes: np.ndarray
     max_attractiveness: int
     alpha: float | None = None
+    order: np.ndarray | None = field(default=None, repr=False)
 
+    num_cells: int = field(init=False)
     total_weight: int = field(init=False)
-    cell_group: np.ndarray = field(init=False, repr=False)
-    _class_values: np.ndarray = field(init=False, repr=False)
-    _class_counts: np.ndarray = field(init=False, repr=False)
-    _class_start: np.ndarray = field(init=False, repr=False)
-    _perm: np.ndarray = field(init=False, repr=False)
-    _alias: np.ndarray = field(init=False, repr=False)
-    _accept: np.ndarray = field(init=False, repr=False)
+    pick: np.ndarray = field(init=False, repr=False)
+    band: np.ndarray = field(init=False, repr=False)
+    num_bands: int = field(init=False)
+    start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        d = np.ascontiguousarray(self.attractiveness, dtype=np.int64)
-        if d.ndim != 1 or d.size == 0:
-            raise ValueError("attractiveness must be a non-empty 1-d array")
-        if d.min() < 2 or d.max() > self.max_attractiveness:
-            raise ValueError(
-                "cell attractiveness must lie in [2, max_attractiveness]"
-            )
-        self.attractiveness = d
-        self.total_weight = int(d.sum())
-
-        # numpy's stable sort is an O(K) radix sort for keys of 16 bits or fewer
-        keys = d.astype(np.min_scalar_type(self.max_attractiveness))
-        perm = np.argsort(keys, kind="stable")
-        ordered = keys[perm]
-        start = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1))
-        values = ordered[start].astype(np.int64)
-        counts = np.diff(start, append=d.size)
-        self._class_values = values
-        self._class_counts = counts
-        self._class_start = start
-        self._perm = perm
-        groups = np.array([int(v).bit_length() - 1 for v in values], dtype=np.int16)
-        self.cell_group = np.empty(d.size, dtype=np.int16)
-        self.cell_group[perm] = np.repeat(groups, counts)
-        class_probs = values * counts / self.total_weight
-        self._alias, self._accept = _build_alias(class_probs)
+        values = self.values = np.asarray(self.values, dtype=np.int64)
+        sizes = self.sizes = np.asarray(self.sizes, dtype=np.int64)
+        if values.ndim != 1 or values.size == 0 or sizes.shape != values.shape:
+            raise ValueError("values and sizes must be non-empty 1-d arrays of one length")
+        if values[0] < 2 or values[-1] > self.max_attractiveness or (values[1:] <= values[:-1]).any():
+            raise ValueError("values must increase within [2, max_attractiveness]")
+        if sizes.min() < 1:
+            raise ValueError("every class must hold at least one cell")
+        self.num_cells = int(sizes.sum())
+        self.total_weight = int(values @ sizes)
+        self.pick = values * sizes / self.total_weight
+        self.band = np.frexp(values)[1] - 1
+        self.num_bands = int(values[-1]).bit_length()
+        self.start = np.cumsum(sizes) - sizes
 
     @classmethod
     def from_weights(cls, weights, alpha: float | None = None) -> "CellGrid":
-        """Build a grid from explicit integer weights (each >= 2)."""
-        w = np.asarray(weights, dtype=np.int64)
+        """Build a grid from explicit integer weights (each >= 2); cell v has weights[v]."""
+        w = np.asarray(weights)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if w.min() < 2:
+        if not np.issubdtype(w.dtype, np.integer):
+            raise ValueError("cell weights must be integers")
+        if w.min() < 2:  # before the cast to unsigned keys, which would wrap
             raise ValueError("cell weights must be at least 2")
-        return cls(w, int(w.max()), alpha=alpha)
+        # numpy's stable sort is an O(K) radix sort for keys of 16 bits or fewer
+        keys = w.astype(np.min_scalar_type(w.max()))
+        order = None if np.all(keys[:-1] <= keys[1:]) else np.argsort(keys, kind="stable")
+        ordered = keys if order is None else keys[order]
+        start = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1))
+        values = ordered[start].astype(np.int64)
+        return cls(values, np.diff(start, append=w.size), int(values[-1]), alpha, order)
 
-    @property
-    def num_cells(self) -> int:
-        return int(self.attractiveness.size)
+    def _per_cell(self, per_class: np.ndarray) -> np.ndarray:
+        """Spread one entry per class over that class's cells, indexed by cell id."""
+        cells = np.repeat(per_class, self.sizes)
+        if self.order is not None:
+            cells[self.order] = cells.copy()
+        return cells
 
-    @property
-    def max_group(self) -> int:
-        """Largest admissible group index floor(log2(max_attractiveness))."""
-        return int(self.max_attractiveness).bit_length() - 1
+    @cached_property
+    def attractiveness(self) -> np.ndarray:
+        return self._per_cell(self.values)
+
+    @cached_property
+    def cell_group(self) -> np.ndarray:
+        return self._per_cell(self.band.astype(np.int16))
+
+    @cached_property
+    def alias(self) -> tuple[np.ndarray, np.ndarray]:
+        return _build_alias(self.pick)
+
+    @cached_property
+    def layout(self) -> BlockLayout:
+        seg_start = np.union1d(self.start, np.arange(0, self.num_cells, BLOCK_CELLS))
+        length = np.diff(seg_start, append=self.num_cells)
+        seg_class = np.searchsorted(self.start, seg_start, side="right") - 1
+        blocks = -(-self.num_cells // BLOCK_CELLS)
+        return BlockLayout(
+            pick=self.values[seg_class] * length / self.total_weight,
+            length=length,
+            offset=seg_start % BLOCK_CELLS,
+            class_first=np.searchsorted(seg_start, self.start),
+            block_first=np.searchsorted(seg_start, np.arange(blocks + 1) * BLOCK_CELLS),
+        )
 
     def choice_probabilities(self) -> np.ndarray:
         """Exact per-cell choice probabilities d_v / W (sums to 1)."""
         return self.attractiveness / self.total_weight
-
-    def class_occupancy(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Aggregate a cell assignment by attractiveness class.
-
-        Returns (class_values, cells_per_class, nodes_per_class) for the
-        given per-node cell ids.  Handy for checking that occupancy tracks
-        attractiveness.
-        """
-        nodes = np.bincount(
-            np.searchsorted(self._class_values, self.attractiveness[cells]),
-            minlength=self._class_values.size,
-        )
-        return self._class_values, self._class_counts.copy(), nodes
 
 
 def draw_class_counts(params: EpidemicParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -312,13 +338,12 @@ def draw_class_counts(params: EpidemicParams, rng: np.random.Generator) -> tuple
 
 
 def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:
-    """Draw a fresh grid of round(kappa * n) cells from the power law.
+    """Draw a fresh grid of round(kappa * n) cells from the power law, in O(m).
 
-    Cells are laid out in class order.  The multiset of weights has the law
+    Cells are numbered in class order.  The multiset of weights has the law
     of K i.i.d. power-law draws; only the cell ids, which are labels, differ.
     """
-    values, counts = draw_class_counts(params, rng)
-    return CellGrid(np.repeat(values, counts), params.max_attractiveness, alpha=params.alpha)
+    return CellGrid(*draw_class_counts(params, rng), params.max_attractiveness, params.alpha)
 
 
 def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -328,12 +353,14 @@ def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndar
     offset) regardless of the grid, which keeps replay deterministic.
     """
     u = rng.random((3, size))
-    nclass = grid._class_values.size
+    nclass = grid.values.size
     c = (u[0] * nclass).astype(np.int64)
     np.minimum(c, nclass - 1, out=c)  # u < 1 but float round-up can hit nclass
-    c = np.where(u[1] < grid._accept[c], c, grid._alias[c])
-    counts = grid._class_counts[c]
-    off = (u[2] * counts).astype(np.int64)
-    np.minimum(off, counts - 1, out=off)
-    return grid._perm[grid._class_start[c] + off]
+    alias, accept = grid.alias
+    c = np.where(u[1] < accept[c], c, alias[c])
+    sizes = grid.sizes[c]
+    off = (u[2] * sizes).astype(np.int64)
+    np.minimum(off, sizes - 1, out=off)
+    cells = grid.start[c] + off
+    return cells if grid.order is None else grid.order[cells]
 

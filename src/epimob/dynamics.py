@@ -28,19 +28,20 @@ holds grows with n or K.
 
 While 8 * |I| < K a count step collapses the placed cells by sorting, in
 O(|I| + m), m being the largest attractiveness.  Otherwise it places the
-nodes block by block (see BlockLayout): O(|I| + K) time, but at most
-BLOCK_CELLS hit counts and CHUNK_PLACEMENTS placements in memory.
+nodes block by block (see attractiveness.BlockLayout): O(|I| + K) time, but
+at most BLOCK_CELLS hit counts and CHUNK_PLACEMENTS placements in memory.
+
+Both engines take one CellGrid; only step() makes it build its per-cell views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .attractiveness import CellGrid, EpidemicParams, choose_cells
+from .attractiveness import BlockLayout, CellGrid, EpidemicParams, choose_cells
 
 UNINFECTED = 0
 INFECTED = 1
@@ -83,7 +84,7 @@ class StepReport:
 
     new_infections_by_group[k] counts infections that happened in cells of
     attractiveness band [2**k, 2**(k+1)); index 0 stays zero because cell
-    weights start at 2.
+    weights start at 2.  It has the grid's num_bands entries.
     """
 
     step: int
@@ -202,7 +203,7 @@ def step(
     newly = substep_transmit(state, grid, params, transmit_rng)
     retired = substep_recover(state, params)
     by_group = np.bincount(
-        grid.cell_group[state.current_cell[newly]], minlength=grid.max_group + 1
+        grid.cell_group[state.current_cell[newly]], minlength=grid.num_bands
     ).astype(np.int64)
     return StepReport(
         step=state.step,
@@ -236,91 +237,11 @@ class CountState:
         return StatusCounts(self.uninfected, sum(self.cohorts.values()), self.recovered)
 
 
-# A dense count step (8 * |I| >= K) places the infectious nodes one block of
-# at most BLOCK_CELLS cells at a time, at most CHUNK_PLACEMENTS nodes at a
-# time.  It holds O(BLOCK_CELLS + CHUNK_PLACEMENTS) numbers plus a few per
-# segment (fewer than K / BLOCK_CELLS + m + 1 segments), however large |I|
-# is, and its bincounts stay cache-resident.
-BLOCK_CELLS = 2**16
+# A dense count step (8 * |I| >= K) places at most CHUNK_PLACEMENTS nodes at a
+# time into one block's hit counts, so it holds O(BLOCK_CELLS + CHUNK_PLACEMENTS)
+# numbers plus a few per segment (fewer than K / BLOCK_CELLS + m + 1), however
+# large |I| is.
 CHUNK_PLACEMENTS = 2**16
-
-
-class BlockLayout(NamedTuple):
-    """The cells of a CountGrid cut into blocks and segments for dense steps.
-
-    Block b holds cells [b * BLOCK_CELLS, (b + 1) * BLOCK_CELLS).  Cutting
-    the cell ids at every class start and every block start gives the
-    segments, so a segment lies in one class and one block, a class larger
-    than a block spans several segments, and the segments of one block
-    belong to distinct classes.
-
-    pick:        probability that a node picks segment s
-    length:      cells in segment s
-    offset:      first cell of segment s within its block
-    class_first: first segment of each class
-    block_first: block b holds segments block_first[b]:block_first[b + 1]
-    """
-
-    pick: np.ndarray
-    length: np.ndarray
-    offset: np.ndarray
-    class_first: np.ndarray
-    block_first: np.ndarray
-
-
-@dataclass(eq=False)
-class CountGrid:
-    """A grid as count_step sees it: its class histogram and derived tables.
-
-    values, sizes: the distinct weights in increasing order and the number
-                   of cells carrying each, as drawn by draw_class_counts;
-                   cells are numbered in class order
-
-    Derived fields (built once per grid, reused by every step):
-
-    num_cells:    K
-    total_weight: W, the summed attractiveness
-    pick:         probability v_c * n_c / W that a node picks class c
-    band:         attractiveness band floor(log2(v_c)) of each class
-    num_bands:    band columns of a StepReport, floor(log2(max v)) + 1
-    start:        first cell id of each class
-    layout:       the BlockLayout, built by the grid's first dense step, so
-                  a grid that never takes one (a small outbreak on a large
-                  grid) never builds it
-    """
-
-    values: np.ndarray
-    sizes: np.ndarray
-
-    num_cells: int = field(init=False)
-    total_weight: int = field(init=False)
-    pick: np.ndarray = field(init=False, repr=False)
-    band: np.ndarray = field(init=False, repr=False)
-    num_bands: int = field(init=False)
-    start: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        values, sizes = self.values, self.sizes
-        self.num_cells = int(sizes.sum())
-        self.total_weight = int(values @ sizes)
-        self.pick = values * sizes / self.total_weight
-        self.band = np.frexp(values)[1] - 1
-        self.num_bands = int(values[-1]).bit_length()
-        self.start = np.cumsum(sizes) - sizes
-
-    @cached_property
-    def layout(self) -> BlockLayout:
-        seg_start = np.union1d(self.start, np.arange(0, self.num_cells, BLOCK_CELLS))
-        length = np.diff(seg_start, append=self.num_cells)
-        seg_class = np.searchsorted(self.start, seg_start, side="right") - 1
-        blocks = -(-self.num_cells // BLOCK_CELLS)
-        return BlockLayout(
-            pick=self.values[seg_class] * length / self.total_weight,
-            length=length,
-            offset=seg_start % BLOCK_CELLS,
-            class_first=np.searchsorted(seg_start, self.start),
-            block_first=np.searchsorted(seg_start, np.arange(blocks + 1) * BLOCK_CELLS),
-        )
 
 
 def _infection_probability(hits: np.ndarray, beta: float) -> np.ndarray:
@@ -335,7 +256,7 @@ def _infection_probability(hits: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _class_exposure(
-    grid: CountGrid, infectious: int, beta: float, rng: np.random.Generator
+    grid: CellGrid, infectious: int, beta: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Place `infectious` nodes; per class, the sum over its cells of 1 - (1 - beta) ** m_v.
 
@@ -358,7 +279,7 @@ def _class_exposure(
     return _blocked_exposure(layout, _block_hits(layout, seg_counts, rng), beta)
 
 
-def _exposure_by_class(cells: np.ndarray, grid: CountGrid, beta: float) -> np.ndarray:
+def _exposure_by_class(cells: np.ndarray, grid: CellGrid, beta: float) -> np.ndarray:
     """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v.
 
     m_v counts the entries of `cells` equal to v; sorting collapses them to
@@ -418,14 +339,13 @@ def _blocked_exposure(layout: BlockLayout, block_hits, beta: float) -> np.ndarra
 
 def count_step(
     state: CountState,
-    grid: CountGrid,
+    grid: CellGrid,
     params: EpidemicParams,
     rng,
 ) -> StepReport:
     """Advance a CountState by one step and report what happened.
 
-    grid is the CountGrid of the grid's class histogram, as drawn by
-    draw_class_counts.  `rng` is a Generator or a bundle exposing
+    Only grid's class tables are read.  `rng` is a Generator or a bundle exposing
     .movement (placing the infectious nodes) and .transmission (the
     binomial and the band split).  Transmission and retirement follow
     step() exactly, including the <= retire rule.

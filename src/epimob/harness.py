@@ -23,10 +23,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .attractiveness import EpidemicParams, build_grid, draw_class_counts
+from .attractiveness import EpidemicParams, build_grid
 from .dynamics import (
     INFECTED,
-    CountGrid,
     CountState,
     StatusCounts,
     StepReport,
@@ -175,8 +174,7 @@ class _NodeEngine:
 class _CountEngine:
     """Count-level engine (dynamics.count_step), equal in law to the per-node one.
 
-    Holds only counts and the grid's class tables (a CountGrid, built once
-    per grid), nothing of size n or K.
+    Holds only counts and the grid's class tables, nothing of size n or K.
     """
 
     name = "count"
@@ -184,16 +182,13 @@ class _CountEngine:
     def __init__(self, params: EpidemicParams, streams: ReplicateStreams, builder: TraceBuilder) -> None:
         self.params = params
         self.streams = streams
-        self.grid = CountGrid(*draw_class_counts(params, streams.grid))
+        self.grid = build_grid(params, streams.grid)
         self.state = CountState.initial(params)  # no cells to log: builder is unused
 
     def advance(self) -> StepReport:
         return count_step(self.state, self.grid, self.params, self.streams)
 
-    def apply(self, overlay: ParamOverlay) -> None:
-        # same rule as scenario.apply_intervention: merged params, fresh grid
-        self.params = overlay.merge(self.params)
-        self.grid = CountGrid(*draw_class_counts(self.params, self.streams.grid))
+    apply = _NodeEngine.apply
 
 
 def _engine(config: ScenarioConfig):

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .attractiveness import PARAM_FIELDS, CellGrid, EpidemicParams, Field, build_grid
-from .dynamics import PopulationState
+from .dynamics import CountState, PopulationState
 from .errors import ConfigError
 
 
@@ -207,7 +207,7 @@ def preset_industrialized(n: int) -> ScenarioConfig:
 
 
 def apply_intervention(
-    state: PopulationState,
+    state: PopulationState | CountState,
     grid: CellGrid,
     params: EpidemicParams,
     overlay: ParamOverlay,
@@ -215,13 +215,13 @@ def apply_intervention(
 ) -> tuple[EpidemicParams, CellGrid]:
     """Swap in overlay parameters and draw a fresh grid under them.
 
-    Statuses and infection timestamps are untouched.  The new tau and beta
-    apply from the next step on; nodes already infected longer than a
-    shortened tau retire at the next step's recover substep.  The rebuilt
-    grid comes from the given stream, so the post-change world is
-    independent of the old one.
+    Either engine's state is checked for its population size, not changed.
+    The new tau and beta apply from the next step on; nodes already infected
+    longer than a shortened tau retire at the next step's recover substep.
+    The rebuilt grid comes from the given stream, so the post-change world
+    is independent of the old one.
     """
-    if state.status.size != params.n:
+    if sum(state.counts()) != params.n:
         raise ValueError("state and params disagree on population size")
     merged = overlay.merge(params)
     return merged, build_grid(merged, rng)

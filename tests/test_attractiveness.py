@@ -141,35 +141,49 @@ def test_cell_grid_validation():
     with pytest.raises(ValueError):
         CellGrid.from_weights([1, 2])
     with pytest.raises(ValueError):
-        CellGrid(np.array([2, 9]), max_attractiveness=8)
+        CellGrid.from_weights([-1, 3])
+    # non-integer weights are refused, not truncated or parsed
+    with pytest.raises(ValueError, match="integers"):
+        CellGrid.from_weights([2.7, 3.9])
+    with pytest.raises(ValueError, match="integers"):
+        CellGrid.from_weights(["2", "3"])
+    with pytest.raises(ValueError):
+        CellGrid(np.array([2, 9]), np.array([1, 1]), max_attractiveness=8)
+    with pytest.raises(ValueError):
+        CellGrid(np.array([3, 2]), np.array([1, 1]), max_attractiveness=8)
+    with pytest.raises(ValueError):
+        CellGrid(np.array([2, 3]), np.array([1, 0]), max_attractiveness=8)
 
 
 def test_cell_grid_basic_fields():
-    grid = CellGrid.from_weights([2, 3, 4, 4, 8])
+    grid = CellGrid.from_weights(np.array([2, 3, 4, 4, 8], dtype=np.uint8))
     assert grid.total_weight == 21
     assert grid.num_cells == 5
     assert grid.max_attractiveness == 8
-    assert grid.max_group == 3
+    assert grid.num_bands == 4
+    assert grid.order is None  # already in class order
     probs = grid.choice_probabilities()
     assert abs(probs.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(probs, np.array([2, 3, 4, 4, 8]) / 21)
     np.testing.assert_array_equal(grid.cell_group, [1, 1, 2, 2, 3])
 
 
-def _reference_layout(weights: np.ndarray) -> dict:
-    """Class layout by np.unique and a stable argsort of its inverse."""
-    values, inverse, counts = np.unique(weights, return_inverse=True, return_counts=True)
-    start = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=start[1:])
-    alias, accept = _build_alias(values * counts / weights.sum())
+def _reference_tables(weights: np.ndarray) -> dict:
+    """Class tables by np.unique and a stable argsort of its inverse."""
+    values, inverse, sizes = np.unique(weights, return_inverse=True, return_counts=True)
+    total = int(weights.sum())
     return {
-        "_class_values": values,
-        "_class_counts": counts,
-        "_class_start": start[:-1],
-        "_perm": np.argsort(inverse, kind="stable").astype(np.int64),
+        "values": values,
+        "sizes": sizes,
+        "start": np.cumsum(sizes) - sizes,
+        "total_weight": total,
+        "pick": values * sizes / total,
+        "band": np.floor(np.log2(values)).astype(int),
+        "num_bands": int(np.floor(np.log2(values[-1]))) + 1,
+        "attractiveness": weights,
         "cell_group": np.floor(np.log2(weights)).astype(np.int16),
-        "_alias": alias,
-        "_accept": accept,
+        "alias": _build_alias(values * sizes / total),
+        "order": np.argsort(inverse, kind="stable"),
     }
 
 
@@ -179,23 +193,34 @@ def _reference_layout(weights: np.ndarray) -> dict:
         st.lists(st.integers(2, 9), min_size=1, max_size=300),
         # wider than 16 bits, so the sort is not a radix sort
         st.lists(st.integers(2, 70_000), min_size=1, max_size=300),
+        st.lists(st.integers(2, 70_000), min_size=1, max_size=300).map(sorted),
         st.tuples(st.integers(2, 70_000), st.integers(1, 300)).map(lambda t: [t[0]] * t[1]),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grid_layout_matches_unique_reference(weights, seed):
+def test_grid_class_tables_match_unique_reference(weights, seed):
     w = np.array(weights, dtype=np.int64)
     grid = CellGrid.from_weights(w)
-    for name, expected in _reference_layout(w).items():
-        actual = getattr(grid, name)
-        assert actual.dtype == expected.dtype, name
-        np.testing.assert_array_equal(actual, expected, err_msg=name)
-    cells = np.random.default_rng(seed).integers(0, w.size, 200)
-    values, cell_counts, node_counts = grid.class_occupancy(cells)
-    per_value = np.bincount(w[cells], minlength=w.max() + 1)
-    np.testing.assert_array_equal(values, grid._class_values)
-    np.testing.assert_array_equal(cell_counts, grid._class_counts)
-    np.testing.assert_array_equal(node_counts, per_value[values])
+    ref = _reference_tables(w)
+    order = ref.pop("order")
+    alias = ref.pop("alias")
+    for name, expected in ref.items():
+        np.testing.assert_array_equal(getattr(grid, name), expected, err_msg=name)
+    assert grid.cell_group.dtype == np.int16
+    for actual, expected in zip(grid.alias, alias):
+        np.testing.assert_array_equal(actual, expected)
+    # order is kept only when the weights are not already in class order
+    if grid.order is None:
+        np.testing.assert_array_equal(order, np.arange(w.size))
+    else:
+        np.testing.assert_array_equal(grid.order, order)
+    # a draw picks class c and member off, i.e. the cell at order[start[c] + off]
+    u = np.random.default_rng(seed).random((3, 200))
+    c = np.minimum((u[0] * grid.values.size).astype(np.int64), grid.values.size - 1)
+    c = np.where(u[1] < alias[1][c], c, alias[0][c])
+    off = np.minimum((u[2] * ref["sizes"][c]).astype(np.int64), ref["sizes"][c] - 1)
+    cells = choose_cells(grid, np.random.default_rng(seed), 200)
+    np.testing.assert_array_equal(cells, order[ref["start"][c] + off])
 
 
 @given(
@@ -203,12 +228,13 @@ def test_grid_layout_matches_unique_reference(weights, seed):
 )
 def test_alias_table_reconstructs_class_probabilities(weights):
     grid = CellGrid.from_weights(weights)
-    k = grid._class_values.size
+    alias, accept = grid.alias
+    k = grid.values.size
     implied = np.zeros(k)
     for c in range(k):
-        implied[c] += grid._accept[c] / k
-        implied[grid._alias[c]] += (1.0 - grid._accept[c]) / k
-    expected = grid._class_values * grid._class_counts / grid.total_weight
+        implied[c] += accept[c] / k
+        implied[alias[c]] += (1.0 - accept[c]) / k
+    expected = grid.values * grid.sizes / grid.total_weight
     np.testing.assert_allclose(implied, expected, atol=1e-9)
 
 
@@ -252,9 +278,9 @@ def test_choice_aggregates_by_attractiveness_class():
     grid = CellGrid.from_weights([2, 2, 3, 7, 7, 7])
     n_draws = 200_000
     draws = choose_cells(grid, substream(13, 0, 2), n_draws)
-    values, cell_counts, node_counts = grid.class_occupancy(draws)
+    node_counts = np.bincount(grid.attractiveness[draws])[grid.values]
     assert node_counts.sum() == n_draws
-    for value, cells, nodes in zip(values, cell_counts, node_counts):
+    for value, cells, nodes in zip(grid.values, grid.sizes, node_counts):
         p = cells * value / grid.total_weight
         se = math.sqrt(p * (1 - p) / n_draws)
         assert abs(nodes / n_draws - p) <= 4 * se

@@ -16,10 +16,11 @@ from epimob import (
     RECOVERED,
     UNINFECTED,
     CellGrid,
-    CountGrid,
     CountState,
     EpidemicParams,
+    ReplicateStreams,
     ScenarioConfig,
+    build_grid,
     causality_violations,
     count_step,
     draw_class_counts,
@@ -28,7 +29,7 @@ from epimob import (
     run_replicate,
     run_replications,
 )
-from epimob import dynamics, harness
+from epimob import attractiveness, dynamics, harness
 from epimob.dynamics import _block_hits, _blocked_exposure, _exposure_by_class
 from epimob.rng import substream
 from epimob.scenario import preset_emerging
@@ -44,16 +45,11 @@ def _agrees(counts: np.ndarray, exact: np.ndarray) -> bool:
     return bool(np.all(np.abs(counts - trials * exact) <= Z * spread + SLACK))
 
 
-def _classes(weights):
-    values, sizes = np.unique(np.asarray(weights, dtype=np.int64), return_counts=True)
-    return CountGrid(values, sizes.astype(np.int64))
-
-
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     # blocks of 2 cells placed 2 nodes at a time: grids of a few cells then
     # have several blocks, classes spanning blocks and several chunks a block
-    monkeypatch.setattr(dynamics, "BLOCK_CELLS", 2)
+    monkeypatch.setattr(attractiveness, "BLOCK_CELLS", 2)
     monkeypatch.setattr(dynamics, "CHUNK_PLACEMENTS", 2)
 
 
@@ -73,14 +69,14 @@ def test_count_step_matches_enumeration(beta):
         u_count = int(gen.integers(1, n_nodes - i_count + 1))
         r_count = n_nodes - i_count - u_count
         statuses = [INFECTED] * i_count + [UNINFECTED] * u_count + [RECOVERED] * r_count
-        exact = enumerate_step(CellGrid.from_weights(weights), statuses, beta)
-        classes = _classes(weights)
+        grid = CellGrid.from_weights(weights)
+        exact = enumerate_step(grid, statuses, beta)
         params = _params(n_nodes, beta)
         rng = substream(4100, idx, 2)
         counts = np.zeros(exact.size, dtype=np.int64)
         for _ in range(trials):
             state = CountState(u_count, r_count, {0: i_count})
-            counts[count_step(state, classes, params, rng).new_infections_total] += 1
+            counts[count_step(state, grid, params, rng).new_infections_total] += 1
         assert _agrees(counts, exact), (weights, statuses, counts.tolist(), exact.tolist())
 
 
@@ -120,13 +116,13 @@ def test_band_split_matches_exact_band_masses(weights):
     beta = 0.6
     exact = _exact_band_pmf(weights, 2, 3, beta)
     assert exact.sum() == pytest.approx(1.0)
-    classes = _classes(weights)
+    grid = CellGrid.from_weights(weights)
     params = _params(5, beta)
     rng = substream(4103, len(weights), 2)
     counts = np.zeros_like(exact, dtype=np.int64)
     trials = 20_000
     for _ in range(trials):
-        report = count_step(CountState(3, 0, {0: 2}), classes, params, rng)
+        report = count_step(CountState(3, 0, {0: 2}), grid, params, rng)
         by_group = report.new_infections_by_group
         assert by_group[0] == 0 and by_group.sum() == report.new_infections_total
         counts[by_group[1], by_group[2]] += 1
@@ -144,9 +140,23 @@ def test_count_step_retires_cohorts_with_the_per_node_rule():
     params = _params(40, 0.0)
     state = CountState(30, 0, {0: 4, 2: 6})
     state.step = 3
-    report = count_step(state, _classes([2, 3]), dataclasses.replace(params, tau=1), substream(1, 0, 2))
+    report = count_step(state, CellGrid.from_weights([2, 3]), dataclasses.replace(params, tau=1), substream(1, 0, 2))
     assert report.newly_recovered == 10 and report.new_infections_total == 0
     assert state.counts() == (30, 0, 10) and state.step == 4
+
+
+def test_count_step_band_width_follows_the_largest_drawn_weight():
+    # weights reach band 2 while max_attractiveness 40 is in band 5: the report
+    # keeps 3 band columns, because padding the band multinomial with empty
+    # categories would change the transmission draws it consumes
+    grid = CellGrid(np.array([2, 3, 5]), np.array([5, 4, 3]), max_attractiveness=40)
+    assert grid.num_bands == 3 and grid.max_attractiveness.bit_length() == 6
+    params = EpidemicParams(n=60, alpha=2.8, kappa=0.2, tau=3, beta=0.7)
+    streams = ReplicateStreams.from_seed(2, 0)
+    report = count_step(CountState(50, 0, {0: 10}), grid, params, streams)
+    # the outcome and next draw of engine_version 0.3.0 at this seed
+    assert report.new_infections_by_group.tolist() == [0, 7, 8]
+    assert streams.transmission.random() == 0.08578880394073785
 
 
 def test_draw_class_counts_is_a_multinomial_histogram():
@@ -165,7 +175,7 @@ def test_default_runs_use_the_count_engine(monkeypatch):
         raise AssertionError("per-node engine used without log_cells")
 
     monkeypatch.setattr(harness, "step", refuse)
-    monkeypatch.setattr(harness, "build_grid", refuse)
+    monkeypatch.setattr(harness, "init_population", refuse)
     params = EpidemicParams(n=500, alpha=2.8, kappa=1.0, tau=2, initial_infected=5)
     result = run_replications(ScenarioConfig(params=params, seed=3, replications=2))
     assert result.manifest.engine == "count"
@@ -202,7 +212,7 @@ def test_dense_count_step_memory_is_bounded():
     # |I| = 6e5 on a 1e6-cell grid: placements are drawn block by block and
     # chunk by chunk, so nothing of length |I| or K is held
     params = preset_emerging(10**6).params
-    grid = CountGrid(*draw_class_counts(params, substream(5, 0, 0)))
+    grid = build_grid(params, substream(5, 0, 0))
     state = CountState(params.n - 600_000, 0, {0: 600_000})
     tracemalloc.start()
     try:
@@ -213,8 +223,8 @@ def test_dense_count_step_memory_is_bounded():
     assert report.new_infections_total > 0
     # 64 bytes per block cell, chunk placement and segment: just over 8 MiB
     # with the default 2**16-cell blocks and 2**16-placement chunks
-    segments = params.num_cells // dynamics.BLOCK_CELLS + grid.values.size + 1
-    assert peak < 64 * (dynamics.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + segments)
+    segments = params.num_cells // attractiveness.BLOCK_CELLS + grid.values.size + 1
+    assert peak < 64 * (attractiveness.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + segments)
 
 
 @given(
@@ -237,9 +247,9 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
     cell_class = np.repeat(np.arange(sizes.size), sizes)
     want = [per_cell[cell_class == c].sum() for c in range(sizes.size)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "BLOCK_CELLS", block)
+        mp.setattr(attractiveness, "BLOCK_CELLS", block)
         mp.setattr(dynamics, "CHUNK_PLACEMENTS", chunk)
-        grid = CountGrid(np.arange(2, 2 + sizes.size), sizes)
+        grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
         np.testing.assert_allclose(_exposure_by_class(cells, grid, beta), want, rtol=1e-12, atol=1e-12)
         layout = grid.layout
         blocks = [(b, hits[b * block : (b + 1) * block]) for b in range(-(-num_cells // block))]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from epimob import (
     ConfigError,
+    CountState,
     EpidemicParams,
     InterventionSchedule,
     ParamOverlay,
@@ -331,3 +332,8 @@ def test_apply_intervention_checks_population_size():
     other = EpidemicParams(n=500, alpha=2.8, kappa=1.0, tau=2)
     with pytest.raises(ValueError, match="population size"):
         apply_intervention(state, grid, other, ParamOverlay(tau=1), substream(7, 0, 0))
+    counts = CountState(9_000, 900, {0: 60, 3: 40})
+    with pytest.raises(ValueError, match="population size"):
+        apply_intervention(counts, grid, other, ParamOverlay(tau=1), substream(7, 0, 0))
+    merged, _ = apply_intervention(counts, grid, config.params, ParamOverlay(tau=1), substream(7, 0, 0))
+    assert merged.tau == 1 and counts.counts() == (9_000, 100, 900)
