@@ -15,8 +15,10 @@ step j + 1 and is infectious through step j + tau, after which it retires.
 Recovered nodes keep relocating but neither transmit nor get infected.
 
 step() is the per-node reference engine: it places all n nodes every step,
-in O(n + K).  count_step() is the count-level engine, equal in law to it.
-It places only the infectious nodes I.  Given their cells, each uninfected
+in O(n + K).  It takes status == INFECTED once, before transmission, and
+transmit and retire share that mask (substep_recover says why that is
+exact).  count_step() is the count-level engine, equal in law to it.  It
+places only the infectious nodes I.  Given their cells, each uninfected
 node independently picks cell v with probability d_v / W and is infected
 there with probability 1 - (1 - beta) ** m_v, m_v being the number of
 infectious nodes in v.  So the step's new infections are Binomial(|U|, Q),
@@ -138,48 +140,51 @@ def substep_transmit(
     grid: CellGrid,
     params: EpidemicParams,
     rng: np.random.Generator,
+    infected: np.ndarray | None = None,
 ) -> np.ndarray:
     """Infect exposed nodes; returns the sorted indices of new infections.
 
-    Only nodes that entered the step already infected transmit.
+    Only nodes that entered the step already infected transmit: `infected`
+    is status == INFECTED before the call (step() passes the mask it shares
+    with substep_recover).  Below beta = 1 each exposed node draws one uniform.
     """
     status = state.status
-    i_idx = np.flatnonzero(status == INFECTED)
-    u_idx = np.flatnonzero(status == UNINFECTED)
-    if i_idx.size == 0 or u_idx.size == 0:
-        return np.empty(0, dtype=np.int64)
-
-    cells = state.current_cell
-    m = _exposures(cells, i_idx, u_idx, grid.num_cells)
-    exposed = u_idx[m > 0]
-    if params.beta >= 1.0:
-        newly = exposed
-    else:
-        # P(infected | m exposures) = 1 - (1 - beta) ** m
-        p = -np.expm1(np.log1p(-params.beta) * m[m > 0])
-        newly = exposed[rng.random(exposed.size) < p]
-    status[newly] = INFECTED
-    state.infected_at[newly] = state.step
+    i_idx = (status == INFECTED if infected is None else infected).nonzero()[0]
+    u_idx = (status == UNINFECTED).nonzero()[0]
+    m = _exposures(state.current_cell, i_idx, u_idx, grid.num_cells)
+    hit = m > 0
+    newly = u_idx[hit]
+    if params.beta < 1.0 and newly.size:
+        newly = newly[rng.random(newly.size) < _infection_probability(m[hit], params.beta)]
+    if newly.size:
+        status[newly] = INFECTED
+        state.infected_at[newly] = state.step
     # sorted already: masks of the ascending u_idx keep its order
     return newly
 
 
-def substep_recover(state: PopulationState, params: EpidemicParams) -> int:
+def substep_recover(
+    state: PopulationState, params: EpidemicParams, infected: np.ndarray | None = None
+) -> int:
     """Retire nodes whose infection is at least tau steps old; returns the count.
 
-    The comparison is <= rather than == so that a mid-run reduction of tau
-    retires overdue nodes at the next step instead of stranding them.
+    `infected` is as in substep_transmit.  The mask from before transmission
+    retires the same nodes as a fresh one: a node infected in this step has
+    infected_at == step, never tau >= 1 steps old.  The comparison is <=, not
+    ==, so a mid-run reduction of tau retires overdue nodes at the next step.
     """
-    done = (state.status == INFECTED) & (state.infected_at <= state.step - params.tau)
+    if infected is None:
+        infected = state.status == INFECTED
+    done = (infected & (state.infected_at <= state.step - params.tau)).nonzero()[0]
     state.status[done] = RECOVERED
-    return int(np.count_nonzero(done))
+    return done.size
 
 
 def _role_streams(rng) -> tuple[np.random.Generator, np.random.Generator]:
     # accept either a bare Generator or a ReplicateStreams-like bundle
-    if hasattr(rng, "movement") and hasattr(rng, "transmission"):
-        return rng.movement, rng.transmission
-    return rng, rng
+    if isinstance(rng, np.random.Generator):
+        return rng, rng
+    return rng.movement, rng.transmission
 
 
 def step(
@@ -200,14 +205,15 @@ def step(
     state.step += 1
     move_rng, transmit_rng = _role_streams(rng)
     substep_move(state, grid, move_rng)
-    newly = substep_transmit(state, grid, params, transmit_rng)
-    retired = substep_recover(state, params)
-    by_group = np.bincount(
-        grid.cell_group[state.current_cell[newly]], minlength=grid.num_bands
-    ).astype(np.int64)
+    infected = state.status == INFECTED
+    newly = substep_transmit(state, grid, params, transmit_rng, infected)
+    retired = substep_recover(state, params, infected)
+    by_group = np.zeros(grid.num_bands, dtype=np.int64)
+    if newly.size:
+        by_group += np.bincount(grid.cell_group[state.current_cell[newly]], minlength=grid.num_bands)
     return StepReport(
         step=state.step,
-        new_infections_total=int(newly.size),
+        new_infections_total=newly.size,
         new_infections_by_group=by_group,
         newly_recovered=retired,
     )
@@ -247,12 +253,15 @@ CHUNK_PLACEMENTS = 2**16
 def _infection_probability(hits: np.ndarray, beta: float) -> np.ndarray:
     """1 - (1 - beta) ** hits, elementwise; a bool array when beta is 1.
 
-    Below 1 the values are computed once per distinct hit count and looked
-    up, which gives the same numbers as computing them per cell.
+    Both engines call it.  Below 1 a long array (a block's hit counts) looks
+    the values up per distinct hit count; the float64 product
+    log1p(-beta) * h, and so each value, is the same either way.
     """
     if beta >= 1.0:
         return hits > 0
-    return -np.expm1(np.log1p(-beta) * np.arange(hits.max() + 1))[hits]
+    if hits.size > 64:
+        return -np.expm1(np.log1p(-beta) * np.arange(hits.max() + 1))[hits]
+    return -np.expm1(np.log1p(-beta) * hits)
 
 
 def _class_exposure(

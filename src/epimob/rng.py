@@ -10,6 +10,7 @@ seed without a warm-up pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +34,16 @@ def substream(master_seed: int, replicate: int, role: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _stream(role: int) -> cached_property:
+    return cached_property(lambda self: substream(self.master_seed, self.replicate, role))
+
+
 @dataclass
 class ReplicateStreams:
     """The four independent random streams consumed by one replicate.
+
+    Each is substream(master_seed, replicate, role), built on first access:
+    the count-level engine never builds init.
 
     grid:         cell attractiveness draws, including rebuilds after a
                   parameter change mid-run
@@ -45,16 +53,14 @@ class ReplicateStreams:
                   transmission probability is 1)
     """
 
-    grid: np.random.Generator
-    init: np.random.Generator
-    movement: np.random.Generator
-    transmission: np.random.Generator
+    master_seed: int
+    replicate: int
+
+    grid = _stream(ROLE_GRID)
+    init = _stream(ROLE_INIT)
+    movement = _stream(ROLE_MOVEMENT)
+    transmission = _stream(ROLE_TRANSMISSION)
 
     @classmethod
     def from_seed(cls, master_seed: int, replicate: int) -> "ReplicateStreams":
-        return cls(
-            grid=substream(master_seed, replicate, ROLE_GRID),
-            init=substream(master_seed, replicate, ROLE_INIT),
-            movement=substream(master_seed, replicate, ROLE_MOVEMENT),
-            transmission=substream(master_seed, replicate, ROLE_TRANSMISSION),
-        )
+        return cls(master_seed, replicate)

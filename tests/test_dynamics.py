@@ -1,5 +1,6 @@
 """Step semantics: movement, transmission, retirement, bookkeeping."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from epimob import (
     substep_recover,
     substep_transmit,
 )
-from epimob.dynamics import _exposures
+from epimob.dynamics import _exposures, _infection_probability
 from epimob.rng import substream
 
 def small_params(n, **kw):
@@ -370,3 +371,134 @@ def test_step_accepts_bare_generator_and_stream_bundle():
     state_b = init_population(params, substream(6, 0, 1))
     step(state_b, grid, params, substream(6, 0, 2))
     np.testing.assert_array_equal(state_a.current_cell, state_b.current_cell)
+
+
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+def _plain(value):
+    """A bit_generator.state with its arrays as lists, comparable to a literal."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _state_digest(gen):
+    return hashlib.sha256(repr(_plain(gen.bit_generator.state)).encode()).hexdigest()[:16]
+
+
+def _reports(state, grid, params, rng, steps):
+    return [
+        (r.step, r.new_infections_total, r.new_infections_by_group.tolist(), r.newly_recovered)
+        for r in (step(state, grid, params, rng) for _ in range(steps))
+    ]
+
+
+def _tiny_golden(beta):
+    # unsorted weights, so choose_cells maps through grid.order; at step 3 the
+    # nodes infected at steps 0 and 1 retire
+    grid = CellGrid.from_weights([5, 2, 8, 3, 3, 7])
+    params = small_params(8, tau=2, beta=beta)
+    state = make_state(
+        [INFECTED] * 3 + [UNINFECTED] * 4 + [RECOVERED],
+        [0, 1, 2] + [NEVER_INFECTED] * 4 + [0],
+        [0] * 8,
+        step_index=2,
+    )
+    rng = np.random.default_rng(7)
+    reports = _reports(state, grid, params, rng, 3)
+    return {
+        "reports": reports,
+        "status": state.status.tolist(),
+        "infected_at": state.infected_at.tolist(),
+        "current_cell": state.current_cell.tolist(),
+        "rng": _plain(rng.bit_generator.state),
+    }
+
+
+def _streams_golden():
+    params = EpidemicParams(n=2000, alpha=2.5, kappa=1.0, tau=2, beta=0.3, initial_infected=40)
+    streams = ReplicateStreams.from_seed(20, 0)
+    grid = build_grid(params, streams.grid)
+    state = init_population(params, streams.init)
+    reports = _reports(state, grid, params, streams, 5)
+    return {
+        "reports": reports,
+        "status": _digest(state.status),
+        "infected_at": _digest(state.infected_at),
+        "current_cell": _digest(state.current_cell),
+        "movement": _state_digest(streams.movement),
+        "transmission": _state_digest(streams.transmission),
+    }
+
+
+# What the engine_version 0.3.0 step() draws and writes, as literals: a
+# reordered, extra or missing draw, or any change in what a step writes, fails.
+GOLDEN_TINY = {
+    0.5: {
+        "reports": [(3, 1, [0, 0, 0, 1], 2), (4, 0, [0, 0, 0, 0], 1), (5, 0, [0, 0, 0, 0], 1)],
+        "status": [2, 2, 2, 0, 0, 2, 0, 2],
+        "infected_at": [0, 1, 2, -1, -1, 3, -1, 0],
+        "current_cell": [3, 0, 2, 3, 4, 1, 2, 4],
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 186322328066240541872994493084354753926,
+                "inc": 261136684632268670825940853076396136793,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+    1.0: {
+        "reports": [(3, 2, [0, 0, 0, 2], 2), (4, 0, [0, 0, 0, 0], 1), (5, 0, [0, 0, 0, 0], 2)],
+        "status": [2, 2, 2, 0, 0, 2, 2, 2],
+        "infected_at": [0, 1, 2, -1, -1, 3, 3, 0],
+        "current_cell": [0, 2, 3, 0, 2, 3, 4, 1],
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 202650480980810931468017215348380399792,
+                "inc": 261136684632268670825940853076396136793,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+}
+
+GOLDEN_STREAMS = {
+    "reports": [
+        (1, 16, [0, 2, 5, 8, 1], 0),
+        (2, 25, [0, 1, 2, 19, 3], 40),
+        (3, 32, [0, 6, 11, 9, 6], 16),
+        (4, 21, [0, 8, 8, 3, 2], 25),
+        (5, 30, [0, 4, 5, 19, 2], 32),
+    ],
+    "status": "ac6769ecb573ae64",
+    "infected_at": "c74d65ed1fbaaa7a",
+    "current_cell": "f21375bbb4dff938",
+    "movement": "b2c65cfb9105ea09",
+    "transmission": "538e3393170cef82",
+}
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_step_draws_match_golden_bare_generator(beta):
+    assert _tiny_golden(beta) == GOLDEN_TINY[beta]
+
+
+def test_step_draws_match_golden_replicate_streams():
+    assert _streams_golden() == GOLDEN_STREAMS
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.999])
+def test_infection_probability_is_the_same_for_short_and_long_arrays(beta):
+    # long arrays look the values up per distinct hit count, short ones compute
+    # them per entry; both must give the same float64 bits
+    hits = np.arange(300) % 13
+    whole = _infection_probability(hits, beta)
+    pieces = [_infection_probability(hits[i:i + 10], beta) for i in range(0, 300, 10)]
+    np.testing.assert_array_equal(whole, np.concatenate(pieces))
+    np.testing.assert_allclose(whole, 1 - (1 - beta) ** hits, rtol=1e-12, atol=1e-15)

@@ -12,6 +12,7 @@ from epimob import (
     InterventionSchedule,
     ParamOverlay,
     PrevalenceReached,
+    ReplicateStreams,
     ReplicateSummary,
     ScenarioConfig,
     TimeReached,
@@ -25,7 +26,9 @@ from epimob import (
     run_replications,
     serialize_config,
 )
+from epimob import rng as rng_module
 from epimob.harness import _group_width
+from epimob.rng import ROLE_GRID, ROLE_INIT, ROLE_MOVEMENT, ROLE_TRANSMISSION, substream
 
 
 def small_config(**kw):
@@ -47,6 +50,32 @@ def test_derive_seed_is_pure_and_spreads():
     assert len(set(seeds)) == 50
     assert all(0 <= s < 2**64 for s in seeds)
     assert derive_seed(43, 0) != derive_seed(42, 0)
+
+
+def test_lazy_streams_equal_eager_substreams():
+    streams = ReplicateStreams.from_seed(42, 3)
+    roles = {"grid": ROLE_GRID, "init": ROLE_INIT, "movement": ROLE_MOVEMENT,
+             "transmission": ROLE_TRANSMISSION}
+    for name, role in roles.items():
+        np.testing.assert_array_equal(
+            getattr(streams, name).random(8), substream(42, 3, role).random(8)
+        )
+    # a second access returns the same, already advanced stream
+    assert streams.movement.random() == substream(42, 3, ROLE_MOVEMENT).random(9)[8]
+
+
+def test_count_engine_replicate_never_builds_the_init_stream(monkeypatch):
+    built = []
+
+    def recording(master_seed, replicate, role):
+        built.append(role)
+        return substream(master_seed, replicate, role)
+
+    monkeypatch.setattr(rng_module, "substream", recording)
+    summary, _ = run_replicate(small_config(seed=4, beta=0.5), 0)
+    assert summary.ever_infected > 5
+    assert ROLE_INIT not in built
+    assert sorted(built) == [ROLE_GRID, ROLE_MOVEMENT, ROLE_TRANSMISSION]
 
 
 def test_engine_version_is_a_version_string():
