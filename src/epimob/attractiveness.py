@@ -191,32 +191,29 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alias, accept
 
 
-# A dense count step (see dynamics.count_step) places nodes one block of at
-# most BLOCK_CELLS cells at a time, so its hit counts stay cache-resident.
+# A dense count step (see dynamics.count_step) places nodes one segment at a
+# time; cutting segments at every BLOCK_CELLS-th cell keeps their hit counts
+# cache-resident.
 BLOCK_CELLS = 2**16
 
 
-class BlockLayout(NamedTuple):
-    """The cells of a CellGrid cut into blocks and segments for dense count steps.
+class SegmentLayout(NamedTuple):
+    """The cells of a CellGrid cut into segments for dense count steps.
 
-    Block b holds cells [b * BLOCK_CELLS, (b + 1) * BLOCK_CELLS).  Cutting
-    the cell ids at every class start and every block start gives the
-    segments, so a segment lies in one class and one block, a class larger
-    than a block spans several segments, and the segments of one block
-    belong to distinct classes.
+    Cutting the cell ids at every class start and every multiple of
+    BLOCK_CELLS gives the segments, so a segment lies in one class and
+    holds at most BLOCK_CELLS cells, and a class larger than a block spans
+    several segments.  There are at most K // BLOCK_CELLS + m of them, m
+    being the number of classes.
 
     pick:        probability that a node picks segment s
     length:      cells in segment s
-    offset:      first cell of segment s within its block
     class_first: first segment of each class
-    block_first: block b holds segments block_first[b]:block_first[b + 1]
     """
 
     pick: np.ndarray
     length: np.ndarray
-    offset: np.ndarray
     class_first: np.ndarray
-    block_first: np.ndarray
 
 
 @dataclass(eq=False)
@@ -305,17 +302,14 @@ class CellGrid:
         return _build_alias(self.pick)
 
     @cached_property
-    def layout(self) -> BlockLayout:
+    def layout(self) -> SegmentLayout:
         seg_start = np.union1d(self.start, np.arange(0, self.num_cells, BLOCK_CELLS))
         length = np.diff(seg_start, append=self.num_cells)
         seg_class = np.searchsorted(self.start, seg_start, side="right") - 1
-        blocks = -(-self.num_cells // BLOCK_CELLS)
-        return BlockLayout(
+        return SegmentLayout(
             pick=self.values[seg_class] * length / self.total_weight,
             length=length,
-            offset=seg_start % BLOCK_CELLS,
             class_first=np.searchsorted(seg_start, self.start),
-            block_first=np.searchsorted(seg_start, np.arange(blocks + 1) * BLOCK_CELLS),
         )
 
     def choice_probabilities(self) -> np.ndarray:

@@ -28,22 +28,26 @@ Recovered nodes need no placing at all.  Its state is |U|, the recovered
 count and the infection cohorts, keyed by infection step, so nothing it
 holds grows with n or K.
 
-While 8 * |I| < K a count step collapses the placed cells by sorting, in
-O(|I| + m), m being the largest attractiveness.  Otherwise it places the
-nodes block by block (see attractiveness.BlockLayout): O(|I| + K) time, but
-at most BLOCK_CELLS hit counts and CHUNK_PLACEMENTS placements in memory.
+A count step places its nodes one of two ways, whichever a fitted cost
+model (_sparse_is_cheaper) expects to be faster from |I|, K and the segment
+count alone.  Sorting the placed cells costs O(|I| log |I| + m) time and
+O(|I|) memory, m being the largest attractiveness.  Placing segment by
+segment (see attractiveness.SegmentLayout) costs O(|I| + K) time but holds
+at most BLOCK_CELLS hit counts and CHUNK_PLACEMENTS placements.
 
 Both engines take one CellGrid; only step() makes it build its per-cell views.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .attractiveness import BlockLayout, CellGrid, EpidemicParams, choose_cells
+from . import attractiveness
+from .attractiveness import CellGrid, EpidemicParams, choose_cells
 
 UNINFECTED = 0
 INFECTED = 1
@@ -243,18 +247,17 @@ class CountState:
         return StatusCounts(self.uninfected, sum(self.cohorts.values()), self.recovered)
 
 
-# A dense count step (8 * |I| >= K) places at most CHUNK_PLACEMENTS nodes at a
-# time into one block's hit counts, so it holds O(BLOCK_CELLS + CHUNK_PLACEMENTS)
-# numbers plus a few per segment (fewer than K / BLOCK_CELLS + m + 1), however
-# large |I| is.
+# A dense count step places at most CHUNK_PLACEMENTS nodes at a time into one
+# segment's hit counts, so it holds O(BLOCK_CELLS + CHUNK_PLACEMENTS) numbers
+# plus a few per segment (at most K // BLOCK_CELLS + m), however large |I| is.
 CHUNK_PLACEMENTS = 2**16
 
 
 def _infection_probability(hits: np.ndarray, beta: float) -> np.ndarray:
     """1 - (1 - beta) ** hits, elementwise; a bool array when beta is 1.
 
-    Both engines call it.  Below 1 a long array (a block's hit counts) looks
-    the values up per distinct hit count; the float64 product
+    Both engines call it.  Below 1 a long array (the sparse count step's hit
+    counts) looks the values up per distinct hit count; the float64 product
     log1p(-beta) * h, and so each value, is the same either way.
     """
     if beta >= 1.0:
@@ -269,14 +272,15 @@ def _class_exposure(
 ) -> np.ndarray:
     """Place `infectious` nodes; per class, the sum over its cells of 1 - (1 - beta) ** m_v.
 
-    Each node picks cell v with probability d_v / W.  When 8 * |I| < K the
-    nodes pick a class (probability v_c * n_c / W) and a uniform member of
-    it, and _exposure_by_class collapses their cells by sorting.  Otherwise
-    they pick a segment and a uniform cell in it, block by block, and
-    _blocked_exposure collapses each block's hit counts.  Both are the
-    per-node law d_v / W.
+    Each node picks cell v with probability d_v / W.  When sorting the
+    placed cells is the cheaper collapse (_sparse_is_cheaper), the nodes
+    pick a class (probability v_c * n_c / W) and a uniform member of it,
+    and _exposure_by_class collapses their cells by sorting.  Otherwise
+    they pick a segment (see attractiveness.SegmentLayout) and
+    _segment_exposure places them on its cells.  Both are the per-node
+    law d_v / W.
     """
-    if infectious * 8 < grid.num_cells:
+    if _sparse_is_cheaper(grid, infectious):
         per_class = rng.multinomial(infectious, grid.pick)
         cls = np.repeat(np.arange(grid.values.size), per_class)
         size = grid.sizes[cls]
@@ -284,8 +288,28 @@ def _class_exposure(
         np.minimum(off, size - 1, out=off)  # u < 1 but float round-up can hit size
         return _exposure_by_class(grid.start[cls] + off, grid, beta)
     layout = grid.layout
-    seg_counts = rng.multinomial(infectious, layout.pick)
-    return _blocked_exposure(layout, _block_hits(layout, seg_counts, rng), beta)
+    seg_sums = _segment_exposure(layout.length, rng.multinomial(infectious, layout.pick), beta, rng)
+    return np.add.reduceat(seg_sums, layout.class_first)
+
+
+# What one step's placement costs, in ns, fitted to _class_exposure timings
+# on seven grids (K = 1e4 .. 1e8, 6 to 716 classes) on a 2-vCPU x86-64 host:
+# sorting costs about SORT_NS * |I| * log2 |I|; placing by segment about
+# SEGMENT_NS_PER_CELL per cell plus SEGMENT_NS_PER_SEGMENT per segment.
+SORT_NS = 4.3
+SEGMENT_NS_PER_CELL = 1.1
+SEGMENT_NS_PER_SEGMENT = 10_000.0
+
+
+def _sparse_is_cheaper(grid: CellGrid, infectious: int) -> bool:
+    """Whether sorting the placed cells beats placing segment by segment.
+
+    Reads only |I|, K and the bound K // BLOCK_CELLS + m on the segment
+    count, m being the number of classes, so it needs no layout.
+    """
+    segments = grid.num_cells // attractiveness.BLOCK_CELLS + grid.values.size
+    dense = SEGMENT_NS_PER_CELL * grid.num_cells + SEGMENT_NS_PER_SEGMENT * segments
+    return SORT_NS * infectious * math.log2(infectious) < dense
 
 
 def _exposure_by_class(cells: np.ndarray, grid: CellGrid, beta: float) -> np.ndarray:
@@ -299,51 +323,40 @@ def _exposure_by_class(cells: np.ndarray, grid: CellGrid, beta: float) -> np.nda
     return np.bincount(cls, weights=_infection_probability(hits, beta), minlength=grid.values.size)
 
 
-def _block_hits(layout: BlockLayout, seg_counts: np.ndarray, rng: np.random.Generator):
-    """Yield (block, hits): per cell of each occupied block, the nodes placed there.
+def _segment_exposure(
+    length: np.ndarray, seg_counts: np.ndarray, beta: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Per segment, the sum over its cells v of 1 - (1 - beta) ** m_v.
 
-    seg_counts[s] nodes land uniformly on the cells of segment s.  They are
-    drawn at most CHUNK_PLACEMENTS at a time into one hit array per block,
-    so nothing held is longer than BLOCK_CELLS or CHUNK_PLACEMENTS.
+    seg_counts[s] nodes land uniformly on the length[s] cells of segment s,
+    drawn at most CHUNK_PLACEMENTS at a time and counted per cell, so
+    nothing held is longer than a segment or a chunk.  At beta = 1 a
+    segment's sum is its number of occupied cells.
     """
-    bounds = layout.block_first
-    block_total = np.add.reduceat(seg_counts, bounds[:-1])
-    for b in np.flatnonzero(block_total):
-        lo, hi = bounds[b], bounds[b + 1]
-        counts = seg_counts[lo:hi]
-        offset, length = layout.offset[lo:hi], layout.length[lo:hi]
-        width = int(offset[-1] + length[-1])
-        total = int(block_total[b])
-        ends = np.cumsum(counts)
-        for first in range(0, total, CHUNK_PLACEMENTS):
-            last = min(first + CHUNK_PLACEMENTS, total)
-            # nodes first..last-1 of the block, counted per segment
-            take = np.diff(np.clip(ends, first, last), prepend=first)
-            size = np.repeat(length, take)
-            cell = (rng.random(last - first) * size).astype(np.int64)
-            np.minimum(cell, size - 1, out=cell)  # u < 1 but float round-up can hit size
-            cell += np.repeat(offset, take)
-            if first:
-                hits += np.bincount(cell, minlength=width)
-            else:
-                hits = np.bincount(cell, minlength=width)
-        yield b, hits
+    sums = np.zeros(length.size)
+    for s in seg_counts.nonzero()[0]:
+        size, count = int(length[s]), int(seg_counts[s])
+        hits = _place(size, min(CHUNK_PLACEMENTS, count), rng)
+        for first in range(CHUNK_PLACEMENTS, count, CHUNK_PLACEMENTS):
+            hits += _place(size, min(CHUNK_PLACEMENTS, count - first), rng)
+        if beta >= 1.0:
+            sums[s] = np.count_nonzero(hits)
+        else:
+            # cells holding 0, 1, 2, ... nodes, weighted by their probability
+            by_count = np.bincount(hits)
+            sums[s] = _infection_probability(np.arange(by_count.size), beta) @ by_count
+    return sums
 
 
-def _blocked_exposure(layout: BlockLayout, block_hits, beta: float) -> np.ndarray:
-    """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v.
+def _place(size: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Hit counts of `count` nodes placed uniformly on `size` <= 2**16 cells.
 
-    block_hits yields (block, hit count per cell of the block) for every
-    block that holds a node; each block is collapsed to its segments, and
-    the segments to their classes.
+    Exact bounded integers.  On a power-of-two range (a full block) 16-bit
+    draws need no rejection and take half the random bits of int64 ones.
     """
-    seg_sums = np.zeros(layout.length.size)
-    for b, hits in block_hits:
-        lo, hi = layout.block_first[b], layout.block_first[b + 1]
-        seg_sums[lo:hi] = np.add.reduceat(
-            _infection_probability(hits, beta), layout.offset[lo:hi], dtype=np.float64
-        )
-    return np.add.reduceat(seg_sums, layout.class_first)
+    dtype = np.uint16 if size & (size - 1) == 0 else np.int64
+    cells = rng.integers(0, size, count, dtype=dtype).astype(np.intp, copy=False)
+    return np.bincount(cells, minlength=size)
 
 
 def count_step(

@@ -264,10 +264,11 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     if workers > 1 and config.replications > 1:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(
-            max_workers=min(workers, config.replications), mp_context=ctx
-        ) as pool:
-            results = list(pool.map(_replicate_job, jobs))
+        workers = min(workers, config.replications)
+        # a few tasks per worker: fewer round trips, still balanced
+        chunk = -(-config.replications // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            results = list(pool.map(_replicate_job, jobs, chunksize=chunk))
     else:
         results = [run_replicate(config, r) for r in range(config.replications)]
     summaries = [s for s, _ in results]

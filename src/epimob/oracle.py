@@ -25,9 +25,12 @@ _CHUNK = 1 << 16
 
 
 def exact_meeting_probability(grid: CellGrid) -> float:
-    """Probability two independent nodes pick the same cell: sum of (d_v / W) ** 2."""
-    p = grid.choice_probabilities()
-    return float(np.dot(p, p))
+    """Probability two independent nodes pick the same cell: sum of (d_v / W) ** 2.
+
+    Summed per class, as n_c * (v_c / W) ** 2, so it costs O(m), not O(K).
+    """
+    p = grid.values / grid.total_weight
+    return float(grid.sizes @ (p * p))
 
 
 def expected_new_infections_bound(grid: CellGrid, i_count: int, u_count: int) -> float:

@@ -30,9 +30,9 @@ from epimob import (
     run_replications,
 )
 from epimob import attractiveness, dynamics, harness
-from epimob.dynamics import _block_hits, _blocked_exposure, _exposure_by_class
+from epimob.dynamics import _class_exposure, _exposure_by_class, _sparse_is_cheaper
 from epimob.rng import substream
-from epimob.scenario import preset_emerging
+from epimob.scenario import preset_emerging, preset_industrialized
 
 # the benchmark's oracle rule: 5 standard errors plus 5 counts per outcome
 Z = 5.0
@@ -45,12 +45,42 @@ def _agrees(counts: np.ndarray, exact: np.ndarray) -> bool:
     return bool(np.all(np.abs(counts - trials * exact) <= Z * spread + SLACK))
 
 
+def _force_segments(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
+    """Place every count step by segment, with small blocks and chunks.
+
+    Returns the number of steps that took each path, so a test can assert
+    that it really reached the segment path.
+    """
+    mp.setattr(attractiveness, "BLOCK_CELLS", block)
+    mp.setattr(dynamics, "CHUNK_PLACEMENTS", chunk)
+    mp.setattr(dynamics, "SEGMENT_NS_PER_CELL", 0.0)
+    mp.setattr(dynamics, "SEGMENT_NS_PER_SEGMENT", 0.0)
+    calls = {"sorted": 0, "segments": 0}
+
+    def spy(name, key):
+        real = getattr(dynamics, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        mp.setattr(dynamics, name, counted)
+
+    spy("_exposure_by_class", "sorted")
+    spy("_segment_exposure", "segments")
+    return calls
+
+
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     # blocks of 2 cells placed 2 nodes at a time: grids of a few cells then
-    # have several blocks, classes spanning blocks and several chunks a block
-    monkeypatch.setattr(attractiveness, "BLOCK_CELLS", 2)
-    monkeypatch.setattr(dynamics, "CHUNK_PLACEMENTS", 2)
+    # have several blocks, classes spanning blocks and several chunks a
+    # segment; a zero segment cost sends every step there
+    return _force_segments(monkeypatch, 2, 2)
+
+
+def _only_segments(calls: dict) -> bool:
+    return calls["segments"] > 0 and calls["sorted"] == 0
 
 
 def _params(n_nodes: int, beta: float) -> EpidemicParams:
@@ -83,6 +113,7 @@ def test_count_step_matches_enumeration(beta):
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 def test_count_step_matches_enumeration_in_tiny_blocks(beta, tiny_blocks):
     test_count_step_matches_enumeration(beta)
+    assert _only_segments(tiny_blocks), tiny_blocks
 
 
 def _exact_band_pmf(weights, i_count, u_count, beta):
@@ -107,8 +138,8 @@ def _exact_band_pmf(weights, i_count, u_count, beta):
 @pytest.mark.parametrize(
     "weights",
     [
-        [2, 3, 3, 4, 6],  # 8 * |I| >= K: hit counts placed block by block
-        [2, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 5, 6, 7, 7, 7, 7],  # 8 * |I| < K: by sorting
+        [2, 3, 3, 4, 6],
+        [2, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 5, 6, 7, 7, 7, 7],
     ],
 )
 def test_band_split_matches_exact_band_masses(weights):
@@ -129,10 +160,11 @@ def test_band_split_matches_exact_band_masses(weights):
     assert _agrees(counts.ravel(), exact.ravel()), counts.tolist()
 
 
-# the second grid has 15 cells, so it too takes the blocked path
+# the same band masses when every step is placed segment by segment
 @pytest.mark.parametrize("weights", [[2, 3, 3, 4, 6], [2, 2, 2, 3, 3, 3, 3, 4, 5, 5, 6, 7, 7, 7, 7]])
 def test_band_split_matches_exact_band_masses_in_tiny_blocks(weights, tiny_blocks):
     test_band_split_matches_exact_band_masses(weights)
+    assert _only_segments(tiny_blocks), tiny_blocks
 
 
 def test_count_step_retires_cohorts_with_the_per_node_rule():
@@ -154,9 +186,23 @@ def test_count_step_band_width_follows_the_largest_drawn_weight():
     params = EpidemicParams(n=60, alpha=2.8, kappa=0.2, tau=3, beta=0.7)
     streams = ReplicateStreams.from_seed(2, 0)
     report = count_step(CountState(50, 0, {0: 10}), grid, params, streams)
-    # the outcome and next draw of engine_version 0.3.0 at this seed
+    # the outcome and next draw of engine_version 0.4.0 at this seed; this
+    # step is sorted, and on this grid that draws as 0.3.0's block path did
     assert report.new_infections_by_group.tolist() == [0, 7, 8]
     assert streams.transmission.random() == 0.08578880394073785
+
+
+def test_segment_step_draws_are_pinned():
+    # |I| = 8000 on a 1e4-cell grid is placed segment by segment: the outcome
+    # and the next draw of each stream of engine_version 0.4.0 at this seed
+    params = preset_emerging(10**4).params
+    grid = build_grid(params, substream(3, 0, 0))
+    assert not _sparse_is_cheaper(grid, 8000)
+    streams = ReplicateStreams.from_seed(3, 0)
+    report = count_step(CountState(2000, 0, {0: 8000}), grid, params, streams)
+    assert report.new_infections_by_group.tolist() == [0, 485, 375, 259, 123]
+    assert streams.movement.random() == 0.5698803558557956
+    assert streams.transmission.random() == 0.1579143911030534
 
 
 def test_draw_class_counts_is_a_multinomial_histogram():
@@ -208,12 +254,15 @@ def test_count_engine_cost_is_bounded_in_n():
     assert elapsed < 0.5
 
 
-def test_dense_count_step_memory_is_bounded():
-    # |I| = 6e5 on a 1e6-cell grid: placements are drawn block by block and
-    # chunk by chunk, so nothing of length |I| or K is held
-    params = preset_emerging(10**6).params
+def _dense_step_peak(n: int, infectious: int) -> tuple[int, int]:
+    """tracemalloc peak of one count step with `infectious` nodes, and its bound.
+
+    The bound is 64 bytes per block cell, chunk placement and segment: just
+    over 8 MiB with the default 2**16-cell blocks and 2**16-placement chunks.
+    """
+    params = preset_emerging(n).params
     grid = build_grid(params, substream(5, 0, 0))
-    state = CountState(params.n - 600_000, 0, {0: 600_000})
+    state = CountState(params.n - infectious, 0, {0: infectious})
     tracemalloc.start()
     try:
         report = count_step(state, grid, params, substream(5, 0, 2))
@@ -221,10 +270,50 @@ def test_dense_count_step_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report.new_infections_total > 0
-    # 64 bytes per block cell, chunk placement and segment: just over 8 MiB
-    # with the default 2**16-cell blocks and 2**16-placement chunks
     segments = params.num_cells // attractiveness.BLOCK_CELLS + grid.values.size + 1
-    assert peak < 64 * (attractiveness.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + segments)
+    return peak, 64 * (attractiveness.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + segments)
+
+
+def test_dense_count_step_memory_is_bounded():
+    # |I| = 6e5 on a 1e6-cell grid: placements are drawn segment by segment
+    # and chunk by chunk, so nothing of length |I| or K is held
+    peak, bound = _dense_step_peak(10**6, 600_000)
+    assert peak < bound
+
+
+def test_count_step_memory_is_bounded_at_1e8_cells():
+    # |I| = 1.2e7 on a 1e8-cell grid, where sorting the placed cells held
+    # 708 MiB: the cost switch places these nodes segment by segment
+    peak, bound = _dense_step_peak(10**8, 12_000_000)
+    assert peak < bound
+
+
+def test_cost_switch_sorts_small_outbreaks_and_segments_large_ones():
+    # the awareness workload's largest steps (|I| = 3200 on 1.6e5 cells) and
+    # every industrialized step stay sorted; large outbreaks go by segment
+    aware = dataclasses.replace(preset_emerging(10**4).params, alpha=6.0, kappa=16.0, tau=2)
+    assert _sparse_is_cheaper(build_grid(aware, substream(1, 0, 0)), 3200)
+    assert _sparse_is_cheaper(build_grid(preset_industrialized(10**5).params, substream(1, 0, 0)), 1000)
+    emerging = build_grid(preset_emerging(10**6).params, substream(1, 0, 0))
+    assert _sparse_is_cheaper(emerging, 10_000) and not _sparse_is_cheaper(emerging, 100_000)
+    assert not _sparse_is_cheaper(build_grid(preset_emerging(10**8).params, substream(1, 0, 0)), 2 * 10**6)
+
+
+class _Recorder:
+    """A Generator stand-in that records the draws _class_exposure makes."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.counts = None
+        self.draws = []
+
+    def multinomial(self, n, pvals):
+        self.counts = self.rng.multinomial(n, pvals)
+        return self.counts
+
+    def integers(self, low, high, size, dtype=np.int64):
+        self.draws.append((high, self.rng.integers(low, high, size, dtype=dtype)))
+        return self.draws[-1][1]
 
 
 @given(
@@ -235,35 +324,46 @@ def test_dense_count_step_memory_is_bounded():
 )
 @settings(max_examples=80, deadline=None)
 def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
-    # up to 180 cells and 60 draws, collapsed by sorting and block by block,
-    # with blocks of 1 to 40 cells and chunks of 1 to 70 placements
+    # up to 180 cells and 60 nodes, collapsed by sorting and placed segment
+    # by segment, with blocks of 1 to 40 cells and chunks of 1 to 70 placements
     sizes = np.array(data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=6)), dtype=np.int64)
     num_cells = int(sizes.sum())
+    cell_class = np.repeat(np.arange(sizes.size), sizes)
+
+    def direct(cells):
+        per_cell = 1.0 - (1.0 - beta) ** np.bincount(cells, minlength=num_cells)
+        return [per_cell[cell_class == c].sum() for c in range(sizes.size)]
+
     cells = np.array(
         data.draw(st.lists(st.integers(0, num_cells - 1), min_size=1, max_size=60)), dtype=np.int64
     )
-    hits = np.bincount(cells, minlength=num_cells)
-    per_cell = 1.0 - (1.0 - beta) ** hits
-    cell_class = np.repeat(np.arange(sizes.size), sizes)
-    want = [per_cell[cell_class == c].sum() for c in range(sizes.size)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attractiveness, "BLOCK_CELLS", block)
-        mp.setattr(dynamics, "CHUNK_PLACEMENTS", chunk)
-        grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
-        np.testing.assert_allclose(_exposure_by_class(cells, grid, beta), want, rtol=1e-12, atol=1e-12)
-        layout = grid.layout
-        blocks = [(b, hits[b * block : (b + 1) * block]) for b in range(-(-num_cells // block))]
-        occupied = [(b, h) for b, h in blocks if h.any()]
-        np.testing.assert_allclose(_blocked_exposure(layout, occupied, beta), want, rtol=1e-12, atol=1e-12)
+    grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
+    np.testing.assert_allclose(_exposure_by_class(cells, grid, beta), direct(cells), rtol=1e-12, atol=1e-12)
 
-        # segments tile each class within blocks, and placing a count per
-        # segment puts exactly that many nodes on the segment's cells
-        assert np.all(layout.length <= block)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _force_segments(mp, block, chunk)
+        grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
+        layout = grid.layout
+        # segments tile each class and never cross a block boundary
+        first = np.cumsum(layout.length) - layout.length
+        assert np.all(first // block == (first + layout.length - 1) // block)
         np.testing.assert_array_equal(np.add.reduceat(layout.length, layout.class_first), sizes)
-        seg_counts = np.add.reduceat(hits, np.cumsum(layout.length) - layout.length)
-        placed = list(_block_hits(layout, seg_counts, substream(4104, num_cells, 2)))
-        assert [b for b, _ in placed] == [b for b, _ in occupied]
-        for (b, h), (_, direct) in zip(placed, occupied):
-            lo, hi = layout.block_first[b], layout.block_first[b + 1]
-            assert h.size == direct.size
-            np.testing.assert_array_equal(np.add.reduceat(h, layout.offset[lo:hi]), seg_counts[lo:hi])
+        assert layout.length.size <= num_cells // block + sizes.size
+
+        rng = _Recorder(substream(4104, num_cells, 2))
+        exposure = _class_exposure(grid, len(cells), beta, rng)
+        assert _only_segments(calls), calls
+    # each segment receives exactly its count, in chunks, on its own cells
+    draws = iter(rng.draws)
+    placed = []
+    for s in rng.counts.nonzero()[0]:
+        got = 0
+        while got < rng.counts[s]:
+            high, seg_cells = next(draws)
+            assert high == layout.length[s] and 0 < seg_cells.size <= chunk
+            assert seg_cells.min() >= 0 and seg_cells.max() < high
+            got += seg_cells.size
+            placed.append(first[s] + seg_cells)
+        assert got == rng.counts[s]
+    assert next(draws, None) is None
+    np.testing.assert_allclose(exposure, direct(np.concatenate(placed)), rtol=1e-12, atol=1e-12)

@@ -87,7 +87,7 @@ def test_written_manifest_names_version_and_engine(tmp_path):
         out_dir = tmp_path / engine
         run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["engine_version"] == epimob.__version__ == "0.3.0"
+        assert manifest["engine_version"] == epimob.__version__ == "0.4.0"
         assert manifest["engine"] == engine
 
 
@@ -157,19 +157,19 @@ def test_replicates_differ_from_each_other():
     assert len(fingerprints) > 1
 
 
-def test_workers_do_not_change_any_output_byte(tmp_path):
+def _assert_workers_write_the_serial_bytes(tmp_path, replications: int, workers: int) -> None:
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
     base = small_config(seed=77)
-    for out_dir, workers in ((serial_dir, 1), (parallel_dir, 4)):
+    for out_dir, w in ((serial_dir, 1), (parallel_dir, workers)):
         import dataclasses
 
-        config = dataclasses.replace(base, replications=4, out_dir=str(out_dir))
-        run_replications(config, workers=workers)
+        config = dataclasses.replace(base, replications=replications, out_dir=str(out_dir))
+        run_replications(config, workers=w)
     names = sorted(p.name for p in serial_dir.iterdir())
     assert names == sorted(p.name for p in parallel_dir.iterdir())
     assert "summary.csv" in names and "manifest.json" in names
-    assert "trace_0000.csv" in names and "trace_0003.csv" in names
+    assert "trace_0000.csv" in names and f"trace_{replications - 1:04d}.csv" in names
     for name in names:
         a = (serial_dir / name).read_bytes()
         b = (parallel_dir / name).read_bytes()
@@ -187,6 +187,15 @@ def test_workers_do_not_change_any_output_byte(tmp_path):
             assert da == db
         else:
             assert a == b, name
+
+
+def test_workers_do_not_change_any_output_byte(tmp_path):
+    _assert_workers_write_the_serial_bytes(tmp_path, 4, 4)
+
+
+def test_pool_chunks_do_not_change_any_output_byte(tmp_path):
+    # 19 replicates on 2 workers go out in chunks of 3, the last one short
+    _assert_workers_write_the_serial_bytes(tmp_path, 19, 2)
 
 
 def test_manifest_reproduces_the_config():
