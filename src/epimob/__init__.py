@@ -11,7 +11,7 @@ oracles validate the Monte Carlo engine.
 # every manifest as engine_version; it comes before the imports because
 # harness reads it at import time.  Bump it whenever outputs change at
 # fixed seeds.
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .attractiveness import (
     CellGrid,
@@ -54,10 +54,7 @@ from .metrics import (
     SimulationTrace,
     TraceBuilder,
     causality_violations,
-    contracting_fraction,
     extinction_time,
-    infectious_lifetimes,
-    prevalence_walk,
     survivor_fraction,
     write_summary_csv,
     write_trace_csv,
@@ -119,7 +116,6 @@ __all__ = [
     "build_grid",
     "causality_violations",
     "choose_cells",
-    "contracting_fraction",
     "count_step",
     "derive_seed",
     "draw_class_counts",
@@ -129,14 +125,12 @@ __all__ = [
     "expected_new_infections_bound",
     "extinction_time",
     "infection_probability_from_exposures",
-    "infectious_lifetimes",
     "init_population",
     "parse_config",
     "parse_trigger",
     "power_law_pmf",
     "preset_emerging",
     "preset_industrialized",
-    "prevalence_walk",
     "run_replicate",
     "run_replications",
     "serialize_config",

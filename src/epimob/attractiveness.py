@@ -1,4 +1,4 @@
-"""Cell grid with power-law attractiveness and constant-time location choice.
+"""Cell grid with power-law attractiveness and O(log m) location choice.
 
 The population moves over K = round(kappa * n) cells.  Each cell v carries an
 integer attractiveness d_v drawn from a truncated power law: support
@@ -8,16 +8,16 @@ a cell with probability d_v / W, where W is the summed attractiveness.
 
 Sampling a cell must not cost O(K) per draw, so a CellGrid is its class
 histogram: the distinct weights in increasing order and the number of cells
-at each.  A draw picks a class from an alias table weighted by (class count
-* class value) / W, then a uniform member of that class; both lookups are
-O(1) and the whole path vectorises.  Per-cell views are built on first use,
-so the count-level engine, which reads only the class tables, never holds
-anything of length K.
+at each, with cells numbered in class order.  A draw is one exact integer x
+uniform on [0, W): class c owns the v_c * n_c integers from the total weight
+of the classes before it, and each of its cells owns v_c of them, so a binary
+search over the m class boundaries and one division find the cell.  Per-cell
+views are built on first use, so the count-level engine, which reads only
+the class tables, never holds anything of length K.
 
-build_grid draws the histogram as Multinomial(K, power-law pmf) in O(m) and
-numbers the cells in class order.  CellGrid.from_weights finds the classes
-of explicit weights by one stable argsort (an O(K) radix sort for weights
-below 2**16) and keeps that permutation unless the weights are sorted.
+build_grid draws the histogram as Multinomial(K, power-law pmf) in O(m).
+CellGrid.from_weights counts the distinct values of explicit weights, so
+its cells are numbered in class order too.
 """
 
 from __future__ import annotations
@@ -169,28 +169,6 @@ def power_law_pmf(alpha: float, max_attr: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias table: returns (alias, accept) for an O(1) categorical."""
-    k = probs.size
-    accept = probs * k
-    alias = np.arange(k, dtype=np.int64)
-    small = [i for i in range(k) if accept[i] < 1.0]
-    large = [i for i in range(k) if accept[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        alias[s] = g
-        accept[g] = (accept[g] + accept[s]) - 1.0
-        if accept[g] < 1.0:
-            small.append(g)
-        else:
-            large.append(g)
-    # leftovers are 1 up to rounding
-    for i in small + large:
-        accept[i] = 1.0
-    return alias, accept
-
-
 # A dense count step (see dynamics.count_step) places nodes one segment at a
 # time; cutting segments at every BLOCK_CELLS-th cell keeps their hit counts
 # cache-resident.
@@ -223,23 +201,22 @@ class CellGrid:
     values, sizes: the distinct weights in increasing order, each in
                    [2, max_attractiveness], and the number of cells at each
     alpha:         exponent the weights were drawn with, or None
-    order:         cell ids sorted stably by weight, or None when the cell
-                   ids are already in class order
 
-    Built once: num_cells K; total_weight W; pick[c] = v_c * n_c / W, the
-    chance that a node picks class c; band[c] = floor(log2(v_c)); num_bands,
-    the band columns of a StepReport; start[c], where class c begins.
+    Cells are numbered in class order.  Built once: num_cells K;
+    total_weight W; pick[c] = v_c * n_c / W, the chance that a node picks
+    class c; band[c] = floor(log2(v_c)); num_bands, the band columns of a
+    StepReport; start[c], where class c begins; weight_start[c], the total
+    weight of the classes before c.
 
     Built on first use, so the count-level engine never holds anything of
-    length K: per cell, attractiveness and cell_group (int16 band); alias,
-    the Vose table (alias, accept) over pick; layout, for dense count steps.
+    length K: per cell, attractiveness and cell_group (int16 band); layout,
+    for dense count steps.
     """
 
     values: np.ndarray
     sizes: np.ndarray
     max_attractiveness: int
     alpha: float | None = None
-    order: np.ndarray | None = field(default=None, repr=False)
 
     num_cells: int = field(init=False)
     total_weight: int = field(init=False)
@@ -247,6 +224,7 @@ class CellGrid:
     band: np.ndarray = field(init=False, repr=False)
     num_bands: int = field(init=False)
     start: np.ndarray = field(init=False, repr=False)
+    weight_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = self.values = np.asarray(self.values, dtype=np.int64)
@@ -263,43 +241,32 @@ class CellGrid:
         self.band = np.frexp(values)[1] - 1
         self.num_bands = int(values[-1]).bit_length()
         self.start = np.cumsum(sizes) - sizes
+        self.weight_start = np.cumsum(values * sizes) - values * sizes
 
     @classmethod
     def from_weights(cls, weights, alpha: float | None = None) -> "CellGrid":
-        """Build a grid from explicit integer weights (each >= 2); cell v has weights[v]."""
+        """Build a grid from explicit integer weights, each >= 2.
+
+        The grid keeps the multiset of weights, numbering its cells in class
+        order, not in the order of `weights`.
+        """
         w = np.asarray(weights)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.issubdtype(w.dtype, np.integer):
             raise ValueError("cell weights must be integers")
-        if w.min() < 2:  # before the cast to unsigned keys, which would wrap
+        if w.min() < 2:
             raise ValueError("cell weights must be at least 2")
-        # numpy's stable sort is an O(K) radix sort for keys of 16 bits or fewer
-        keys = w.astype(np.min_scalar_type(w.max()))
-        order = None if np.all(keys[:-1] <= keys[1:]) else np.argsort(keys, kind="stable")
-        ordered = keys if order is None else keys[order]
-        start = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1))
-        values = ordered[start].astype(np.int64)
-        return cls(values, np.diff(start, append=w.size), int(values[-1]), alpha, order)
-
-    def _per_cell(self, per_class: np.ndarray) -> np.ndarray:
-        """Spread one entry per class over that class's cells, indexed by cell id."""
-        cells = np.repeat(per_class, self.sizes)
-        if self.order is not None:
-            cells[self.order] = cells.copy()
-        return cells
+        values, sizes = np.unique(w, return_counts=True)
+        return cls(values, sizes, int(values[-1]), alpha)
 
     @cached_property
     def attractiveness(self) -> np.ndarray:
-        return self._per_cell(self.values)
+        return np.repeat(self.values, self.sizes)
 
     @cached_property
     def cell_group(self) -> np.ndarray:
-        return self._per_cell(self.band.astype(np.int16))
-
-    @cached_property
-    def alias(self) -> tuple[np.ndarray, np.ndarray]:
-        return _build_alias(self.pick)
+        return np.repeat(self.band.astype(np.int16), self.sizes)
 
     @cached_property
     def layout(self) -> SegmentLayout:
@@ -343,18 +310,11 @@ def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:
 def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sample `size` cell ids, each independently with probability d_v / W.
 
-    Consumes exactly 3 * size uniforms (class pick, alias accept, member
-    offset) regardless of the grid, which keeps replay deterministic.
+    Exact in law: each draw is one integer x uniform on [0, W).  Class c
+    owns the v_c * n_c integers from weight_start[c], and each of its cells
+    owns v_c of them in turn.
     """
-    u = rng.random((3, size))
-    nclass = grid.values.size
-    c = (u[0] * nclass).astype(np.int64)
-    np.minimum(c, nclass - 1, out=c)  # u < 1 but float round-up can hit nclass
-    alias, accept = grid.alias
-    c = np.where(u[1] < accept[c], c, alias[c])
-    sizes = grid.sizes[c]
-    off = (u[2] * sizes).astype(np.int64)
-    np.minimum(off, sizes - 1, out=off)
-    cells = grid.start[c] + off
-    return cells if grid.order is None else grid.order[cells]
+    x = rng.integers(0, grid.total_weight, size)
+    c = grid.weight_start.searchsorted(x, side="right") - 1
+    return grid.start[c] + (x - grid.weight_start[c]) // grid.values[c]
 

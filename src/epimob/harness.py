@@ -33,6 +33,7 @@ from .dynamics import (
     init_population,
     step,
 )
+from .errors import ConfigError
 from .metrics import (
     ReplicateSummary,
     SimulationTrace,
@@ -207,8 +208,6 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
     builder = TraceBuilder(
         StatusCounts(params.n - params.initial_infected, params.initial_infected, 0),
         _group_width(params, config.schedule),
-        params.tau,
-        log_cells=config.log_cells,
     )
     engine = _engine(config)(params, streams, builder)
     state = engine.state
@@ -255,6 +254,8 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     writes trace_<replicate>.csv per replicate plus summary.csv and
     manifest.json.
     """
+    if workers < 1:
+        raise ConfigError("workers must be a positive integer")
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     if config.out_dir is not None:

@@ -19,11 +19,9 @@ class SimulationTrace:
 
     Arrays are indexed by step, so steps[j] == j.  new_by_group has one
     column per attractiveness band starting at band 1; its width is fixed
-    for the whole run, wide enough for every grid the run can see.  tau is
-    the infectious period at the start of the run and sets the super-step
-    length for prevalence_walk.
+    for the whole run, wide enough for every grid the run can see.
 
-    cell_log / infectious_log, when enabled, hold one row per executed step
+    cell_log / infectious_log, set by per-node (log_cells) runs, hold one row per executed step
     (row j - 1 describes step j): the post-move cell of every node and
     whether the node was infectious while that step's transmission ran.
     """
@@ -35,7 +33,6 @@ class SimulationTrace:
     new_total: np.ndarray
     new_by_group: np.ndarray
     newly_recovered: np.ndarray
-    tau: int
     extinction_step: Optional[int]
     cap_reached: bool
     cell_log: Optional[np.ndarray] = None
@@ -61,21 +58,12 @@ class SimulationTrace:
 class TraceBuilder:
     """Accumulates per-step records during a run and freezes them at the end."""
 
-    def __init__(
-        self,
-        initial_counts,
-        num_groups: int,
-        tau: int,
-        *,
-        log_cells: bool = False,
-    ) -> None:
+    def __init__(self, initial_counts, num_groups: int) -> None:
         if num_groups < 1:
             raise ValueError("num_groups must be at least 1")
         u, i, r = initial_counts
         self._num_groups = num_groups
-        self._tau = tau
         self._rows = [(0, i, u, r, 0, (0,) * num_groups, 0)]
-        self._log_cells = log_cells
         self._cell_rows: list[np.ndarray] = []
         self._infectious_rows: list[np.ndarray] = []
 
@@ -104,8 +92,7 @@ class TraceBuilder:
         )
 
     def record_logs(self, cells: np.ndarray, infectious_mask: np.ndarray) -> None:
-        if not self._log_cells:
-            return
+        """Append one step's post-move cells and pre-step infectious mask."""
         self._cell_rows.append(np.asarray(cells, dtype=np.int64))
         self._infectious_rows.append(np.asarray(infectious_mask, dtype=bool))
 
@@ -122,7 +109,6 @@ class TraceBuilder:
             new_total=np.array([r[4] for r in rows], dtype=np.int64),
             new_by_group=np.array([r[5] for r in rows], dtype=np.int64),
             newly_recovered=np.array([r[6] for r in rows], dtype=np.int64),
-            tau=self._tau,
             extinction_step=extinction_step,
             cap_reached=cap_reached,
             cell_log=np.array(self._cell_rows) if self._cell_rows else None,
@@ -143,32 +129,6 @@ def extinction_time(trace: SimulationTrace) -> Optional[int]:
     if idx.size == 0:
         return None
     return int(trace.steps[idx[0]])
-
-
-def prevalence_walk(trace: SimulationTrace, sigma: Optional[int] = None) -> np.ndarray:
-    """Downsample the infected count to super-steps of sigma consecutive steps.
-
-    Returns an (m, 2) array of (count before, count after) per super-step;
-    the last super-step may be shorter if the run ended mid-window.  sigma
-    defaults to the run's starting tau.
-    """
-    if sigma is None:
-        sigma = trace.tau
-    if sigma < 1:
-        raise ValueError("sigma must be a positive integer")
-    last = trace.last_step
-    if last == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    starts = np.arange(0, last, sigma)
-    ends = np.minimum(starts + sigma, last)
-    return np.stack([trace.infected[starts], trace.infected[ends]], axis=1)
-
-
-def contracting_fraction(walk: np.ndarray) -> float:
-    """Fraction of super-steps in which the infected count shrank."""
-    if len(walk) == 0:
-        raise ValueError("empty prevalence walk")
-    return float(np.mean(walk[:, 1] < walk[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -242,7 +202,3 @@ def causality_violations(
             bad.append(node)
     return np.array(bad, dtype=np.int64)
 
-
-def infectious_lifetimes(infectious_log: np.ndarray) -> np.ndarray:
-    """Number of steps each node spent infectious, from the per-step log."""
-    return infectious_log.sum(axis=0)

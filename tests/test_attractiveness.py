@@ -1,4 +1,4 @@
-"""Grid construction and constant-time cell choice."""
+"""Grid construction and exact O(log m) cell choice."""
 
 import math
 
@@ -16,7 +16,6 @@ from epimob import (
     choose_cells,
     power_law_pmf,
 )
-from epimob.attractiveness import _build_alias
 from epimob.rng import substream
 
 
@@ -161,7 +160,7 @@ def test_cell_grid_basic_fields():
     assert grid.num_cells == 5
     assert grid.max_attractiveness == 8
     assert grid.num_bands == 4
-    assert grid.order is None  # already in class order
+    np.testing.assert_array_equal(grid.weight_start, [0, 2, 5, 13])
     probs = grid.choice_probabilities()
     assert abs(probs.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(probs, np.array([2, 3, 4, 4, 8]) / 21)
@@ -169,21 +168,21 @@ def test_cell_grid_basic_fields():
 
 
 def _reference_tables(weights: np.ndarray) -> dict:
-    """Class tables by np.unique and a stable argsort of its inverse."""
-    values, inverse, sizes = np.unique(weights, return_inverse=True, return_counts=True)
+    """Class tables by counting distinct weights; cells in sorted order."""
+    values, sizes = np.unique(weights, return_counts=True)
+    ordered = np.sort(weights)
     total = int(weights.sum())
     return {
         "values": values,
         "sizes": sizes,
         "start": np.cumsum(sizes) - sizes,
+        "weight_start": np.cumsum(values * sizes) - values * sizes,
         "total_weight": total,
         "pick": values * sizes / total,
         "band": np.floor(np.log2(values)).astype(int),
         "num_bands": int(np.floor(np.log2(values[-1]))) + 1,
-        "attractiveness": weights,
-        "cell_group": np.floor(np.log2(weights)).astype(np.int16),
-        "alias": _build_alias(values * sizes / total),
-        "order": np.argsort(inverse, kind="stable"),
+        "attractiveness": ordered,
+        "cell_group": np.floor(np.log2(ordered)).astype(np.int16),
     }
 
 
@@ -191,7 +190,7 @@ def _reference_tables(weights: np.ndarray) -> dict:
 @given(
     weights=st.one_of(
         st.lists(st.integers(2, 9), min_size=1, max_size=300),
-        # wider than 16 bits, so the sort is not a radix sort
+        # weights above 2**16
         st.lists(st.integers(2, 70_000), min_size=1, max_size=300),
         st.lists(st.integers(2, 70_000), min_size=1, max_size=300).map(sorted),
         st.tuples(st.integers(2, 70_000), st.integers(1, 300)).map(lambda t: [t[0]] * t[1]),
@@ -202,50 +201,37 @@ def test_grid_class_tables_match_unique_reference(weights, seed):
     w = np.array(weights, dtype=np.int64)
     grid = CellGrid.from_weights(w)
     ref = _reference_tables(w)
-    order = ref.pop("order")
-    alias = ref.pop("alias")
     for name, expected in ref.items():
         np.testing.assert_array_equal(getattr(grid, name), expected, err_msg=name)
     assert grid.cell_group.dtype == np.int16
-    for actual, expected in zip(grid.alias, alias):
-        np.testing.assert_array_equal(actual, expected)
-    # order is kept only when the weights are not already in class order
-    if grid.order is None:
-        np.testing.assert_array_equal(order, np.arange(w.size))
-    else:
-        np.testing.assert_array_equal(grid.order, order)
-    # a draw picks class c and member off, i.e. the cell at order[start[c] + off]
-    u = np.random.default_rng(seed).random((3, 200))
-    c = np.minimum((u[0] * grid.values.size).astype(np.int64), grid.values.size - 1)
-    c = np.where(u[1] < alias[1][c], c, alias[0][c])
-    off = np.minimum((u[2] * ref["sizes"][c]).astype(np.int64), ref["sizes"][c] - 1)
+    # a draw x in [0, W) lands on the first cell whose running weight exceeds x
+    x = np.random.default_rng(seed).integers(0, ref["total_weight"], 200)
     cells = choose_cells(grid, np.random.default_rng(seed), 200)
-    np.testing.assert_array_equal(cells, order[ref["start"][c] + off])
+    np.testing.assert_array_equal(cells, np.searchsorted(np.cumsum(ref["attractiveness"]), x, side="right"))
 
 
+class _EveryInteger:
+    """Stands in for a Generator: integers(0, W, W) yields each of 0..W-1 once."""
+
+    def integers(self, low, high, size):
+        assert low == 0 and size == high
+        return np.arange(high)
+
+
+@settings(max_examples=60)
 @given(
-    weights=st.lists(st.integers(2, 50), min_size=1, max_size=40),
+    weights=st.one_of(
+        st.lists(st.integers(2, 9), min_size=1, max_size=200),
+        st.lists(st.integers(2, 2**17), min_size=1, max_size=12),
+        st.tuples(st.integers(2, 2**17), st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
+    ),
 )
-def test_alias_table_reconstructs_class_probabilities(weights):
+def test_choose_cells_is_exact_in_law(weights):
+    # every integer in [0, W) drawn once lands d_v times on each cell v
     grid = CellGrid.from_weights(weights)
-    alias, accept = grid.alias
-    k = grid.values.size
-    implied = np.zeros(k)
-    for c in range(k):
-        implied[c] += accept[c] / k
-        implied[alias[c]] += (1.0 - accept[c]) / k
-    expected = grid.values * grid.sizes / grid.total_weight
-    np.testing.assert_allclose(implied, expected, atol=1e-9)
-
-
-def test_alias_direct_build():
-    alias, accept = _build_alias(np.array([0.5, 0.25, 0.25]))
-    k = 3
-    implied = np.zeros(k)
-    for c in range(k):
-        implied[c] += accept[c] / k
-        implied[alias[c]] += (1.0 - accept[c]) / k
-    np.testing.assert_allclose(implied, [0.5, 0.25, 0.25], atol=1e-12)
+    np.testing.assert_array_equal(grid.attractiveness, np.sort(weights))
+    cells = choose_cells(grid, _EveryInteger(), grid.total_weight)
+    np.testing.assert_array_equal(np.bincount(cells, minlength=grid.num_cells), grid.attractiveness)
 
 
 def test_choose_single_cell_grid():
@@ -301,13 +287,3 @@ def test_choice_frequencies_track_weights(weights, seed):
     bound = 5 * np.sqrt(probs * (1 - probs) / n_draws) + 1e-9
     assert np.all(np.abs(freq - probs) <= bound)
 
-
-def test_choose_cells_stream_consumption_is_fixed():
-    # a draw of size k consumes exactly 3k uniforms regardless of the grid
-    grid_a = CellGrid.from_weights([2, 3, 4, 9])
-    grid_b = CellGrid.from_weights([2, 2])
-    rng_a = substream(21, 0, 2)
-    rng_b = substream(21, 0, 2)
-    choose_cells(grid_a, rng_a, 1000)
-    choose_cells(grid_b, rng_b, 1000)
-    assert rng_a.random() == rng_b.random()

@@ -93,6 +93,15 @@ def test_unusable_out_dir_fails_before_any_replicate(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_fail_before_any_replicate(capsys, monkeypatch, workers):
+    calls = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    assert cli_main(["run", "--n", "1000", "--workers", workers]) == 2
+    assert "workers must be a positive integer" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("n=300\ntau=1\nseed=4\n")

@@ -396,7 +396,7 @@ def _reports(state, grid, params, rng, steps):
 
 
 def _tiny_golden(beta):
-    # unsorted weights, so choose_cells maps through grid.order; at step 3 the
+    # unsorted weights, which the grid numbers in class order; at step 3 the
     # nodes infected at steps 0 and 1 retire
     grid = CellGrid.from_weights([5, 2, 8, 3, 3, 7])
     params = small_params(8, tau=2, beta=beta)
@@ -433,54 +433,54 @@ def _streams_golden():
     }
 
 
-# What the engine_version 0.3.0 step() draws and writes, as literals: a
+# What the engine_version 0.5.0 step() draws and writes, as literals: a
 # reordered, extra or missing draw, or any change in what a step writes, fails.
 GOLDEN_TINY = {
     0.5: {
-        "reports": [(3, 1, [0, 0, 0, 1], 2), (4, 0, [0, 0, 0, 0], 1), (5, 0, [0, 0, 0, 0], 1)],
-        "status": [2, 2, 2, 0, 0, 2, 0, 2],
-        "infected_at": [0, 1, 2, -1, -1, 3, -1, 0],
-        "current_cell": [3, 0, 2, 3, 4, 1, 2, 4],
+        "reports": [(3, 2, [0, 0, 0, 2], 2), (4, 1, [0, 0, 1, 0], 1), (5, 1, [0, 0, 1, 0], 2)],
+        "status": [2, 2, 2, 2, 1, 2, 1, 2],
+        "infected_at": [0, 1, 2, 3, 5, 3, 4, 0],
+        "current_cell": [5, 3, 4, 4, 4, 4, 4, 5],
         "rng": {
             "bit_generator": "PCG64",
             "state": {
-                "state": 186322328066240541872994493084354753926,
+                "state": 142205542758926017296850103978187267774,
                 "inc": 261136684632268670825940853076396136793,
             },
             "has_uint32": 0,
-            "uinteger": 0,
+            "uinteger": 4275641160,
         },
     },
     1.0: {
-        "reports": [(3, 2, [0, 0, 0, 2], 2), (4, 0, [0, 0, 0, 0], 1), (5, 0, [0, 0, 0, 0], 2)],
-        "status": [2, 2, 2, 0, 0, 2, 2, 2],
-        "infected_at": [0, 1, 2, -1, -1, 3, 3, 0],
-        "current_cell": [0, 2, 3, 0, 2, 3, 4, 1],
+        "reports": [(3, 4, [0, 0, 1, 3], 2), (4, 0, [0, 0, 0, 0], 1), (5, 0, [0, 0, 0, 0], 4)],
+        "status": [2, 2, 2, 2, 2, 2, 2, 2],
+        "infected_at": [0, 1, 2, 3, 3, 3, 3, 0],
+        "current_cell": [1, 5, 1, 4, 5, 3, 3, 2],
         "rng": {
             "bit_generator": "PCG64",
             "state": {
-                "state": 202650480980810931468017215348380399792,
+                "state": 290790065184894171192522553462352922540,
                 "inc": 261136684632268670825940853076396136793,
             },
             "has_uint32": 0,
-            "uinteger": 0,
+            "uinteger": 1195828898,
         },
     },
 }
 
 GOLDEN_STREAMS = {
     "reports": [
-        (1, 16, [0, 2, 5, 8, 1], 0),
-        (2, 25, [0, 1, 2, 19, 3], 40),
-        (3, 32, [0, 6, 11, 9, 6], 16),
-        (4, 21, [0, 8, 8, 3, 2], 25),
-        (5, 30, [0, 4, 5, 19, 2], 32),
+        (1, 18, [0, 3, 4, 7, 4], 0),
+        (2, 34, [0, 3, 7, 17, 7], 40),
+        (3, 30, [0, 5, 5, 20, 0], 18),
+        (4, 20, [0, 6, 7, 4, 3], 34),
+        (5, 29, [0, 11, 3, 13, 2], 30),
     ],
-    "status": "ac6769ecb573ae64",
-    "infected_at": "c74d65ed1fbaaa7a",
-    "current_cell": "f21375bbb4dff938",
-    "movement": "b2c65cfb9105ea09",
-    "transmission": "538e3393170cef82",
+    "status": "4586a2d5738cd935",
+    "infected_at": "cfbd154d937cba83",
+    "current_cell": "c49744f002c68eb3",
+    "movement": "ed42cf3dc092931a",
+    "transmission": "29beaf5e3b8286ef",
 }
 
 

@@ -1,5 +1,7 @@
 """Replication runner: determinism, parallel equivalence, aggregation, files."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -87,7 +89,7 @@ def test_written_manifest_names_version_and_engine(tmp_path):
         out_dir = tmp_path / engine
         run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["engine_version"] == epimob.__version__ == "0.4.0"
+        assert manifest["engine_version"] == epimob.__version__ == "0.5.0"
         assert manifest["engine"] == engine
 
 
@@ -162,8 +164,6 @@ def _assert_workers_write_the_serial_bytes(tmp_path, replications: int, workers:
     parallel_dir = tmp_path / "parallel"
     base = small_config(seed=77)
     for out_dir, w in ((serial_dir, 1), (parallel_dir, workers)):
-        import dataclasses
-
         config = dataclasses.replace(base, replications=replications, out_dir=str(out_dir))
         run_replications(config, workers=w)
     names = sorted(p.name for p in serial_dir.iterdir())
@@ -196,6 +196,30 @@ def test_workers_do_not_change_any_output_byte(tmp_path):
 def test_pool_chunks_do_not_change_any_output_byte(tmp_path):
     # 19 replicates on 2 workers go out in chunks of 3, the last one short
     _assert_workers_write_the_serial_bytes(tmp_path, 19, 2)
+
+
+# sha256 of the files a default (count-engine) run writes, as engine_version
+# 0.4.0 wrote them: a change in any count-engine draw or in the CSV formats fails
+DEFAULT_RUN_DIGESTS = {
+    "summary.csv": "1d4f70bc6b0c68d90ed2e69679312d0e4072646b64c98d3d6817835567f6f73d",
+    "trace_0000.csv": "8f1a592703cebf77cbe0169e2586dcaa76ce963dec79e74b78c32c6a9fdc9549",
+    "trace_0001.csv": "7a7b6fd8e80f4bbe8ad9a7bda87e35ca9e355766113de89ca60669e65759c126",
+    "trace_0002.csv": "e3cc97bb44ae4d67aaa404505b6af24719ae197fcb0a8941de8b22bb32c3bea5",
+    "trace_0003.csv": "6978385772b65e2e9e880ae202a6963cfa7fbeddc815462a39c88707ab0870b8",
+}
+
+
+def test_default_run_writes_pinned_bytes(tmp_path):
+    aware = Trigger(PrevalenceReached(0.02), ParamOverlay(alpha=6.0, kappa=16.0, tau=2))
+    config = dataclasses.replace(
+        preset_emerging(20_000), seed=3, replications=4,
+        schedule=InterventionSchedule((aware,)), out_dir=str(tmp_path),
+    )
+    run_replications(config, workers=2)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
+    }
+    assert digests == DEFAULT_RUN_DIGESTS
 
 
 def test_manifest_reproduces_the_config():

@@ -14,11 +14,8 @@ from epimob import (
     TraceBuilder,
     build_grid,
     causality_violations,
-    contracting_fraction,
     extinction_time,
-    infectious_lifetimes,
     init_population,
-    prevalence_walk,
     step,
     survivor_fraction,
     write_summary_csv,
@@ -32,7 +29,7 @@ def test_group_index_band_edges():
     np.testing.assert_array_equal(grid.cell_group, [1, 1, 2, 2, 3, 4, 5])
 
 
-def _walk_trace(infected, tau=2):
+def _trace(infected):
     m = len(infected)
     return SimulationTrace(
         steps=np.arange(m, dtype=np.int64),
@@ -42,14 +39,13 @@ def _walk_trace(infected, tau=2):
         new_total=np.zeros(m, dtype=np.int64),
         new_by_group=np.zeros((m, 3), dtype=np.int64),
         newly_recovered=np.zeros(m, dtype=np.int64),
-        tau=tau,
         extinction_step=m - 1 if infected[-1] == 0 else None,
         cap_reached=infected[-1] != 0,
     )
 
 
 def test_trace_properties():
-    trace = _walk_trace([5, 4, 3, 2, 1, 0])
+    trace = _trace([5, 4, 3, 2, 1, 0])
     assert trace.n == 10
     assert trace.survivors == 5
     assert trace.ever_infected == 5
@@ -58,39 +54,12 @@ def test_trace_properties():
 
 
 def test_extinction_time_from_arrays():
-    assert extinction_time(_walk_trace([5, 4, 3, 2, 1, 0])) == 5
-    assert extinction_time(_walk_trace([3, 0, 0])) == 1
+    assert extinction_time(_trace([5, 4, 3, 2, 1, 0])) == 5
+    assert extinction_time(_trace([3, 0, 0])) == 1
 
 
 def test_extinction_time_cap_marker():
-    assert extinction_time(_walk_trace([3, 2, 2])) is None
-
-
-def test_prevalence_walk_arithmetic():
-    trace = _walk_trace([5, 4, 3, 2, 1, 0], tau=2)
-    expected = [[5, 3], [3, 1], [1, 0]]
-    np.testing.assert_array_equal(prevalence_walk(trace, 2), expected)
-    # sigma defaults to the trace's tau
-    np.testing.assert_array_equal(prevalence_walk(trace), expected)
-
-
-def test_prevalence_walk_short_tail_window():
-    trace = _walk_trace([9, 8, 7, 6, 5])  # last step 4, sigma 3
-    np.testing.assert_array_equal(prevalence_walk(trace, 3), [[9, 6], [6, 5]])
-
-
-def test_prevalence_walk_edge_cases():
-    assert prevalence_walk(_walk_trace([4]), 2).shape == (0, 2)
-    with pytest.raises(ValueError):
-        prevalence_walk(_walk_trace([4, 3]), 0)
-
-
-def test_contracting_fraction():
-    assert contracting_fraction(np.array([[5, 3], [3, 1], [1, 0]])) == 1.0
-    assert contracting_fraction(np.array([[2, 3], [3, 1]])) == 0.5
-    assert contracting_fraction(np.array([[2, 2]])) == 0.0
-    with pytest.raises(ValueError):
-        contracting_fraction(np.empty((0, 2)))
+    assert extinction_time(_trace([3, 2, 2])) is None
 
 
 def _report(s, total, by_group, recovered=0):
@@ -103,7 +72,7 @@ def _report(s, total, by_group, recovered=0):
 
 
 def test_builder_initial_row_and_append():
-    builder = TraceBuilder((8, 2, 0), num_groups=3, tau=2)
+    builder = TraceBuilder((8, 2, 0), num_groups=3)
     builder.record(_report(1, 2, [0, 1, 1]), (6, 4, 0))
     trace = builder.finalize(extinction_step=None, cap_reached=True)
     np.testing.assert_array_equal(trace.steps, [0, 1])
@@ -118,13 +87,13 @@ def test_builder_initial_row_and_append():
 
 
 def test_builder_rejects_band_zero_infections():
-    builder = TraceBuilder((8, 2, 0), num_groups=2, tau=1)
+    builder = TraceBuilder((8, 2, 0), num_groups=2)
     with pytest.raises(ValueError, match="band 0"):
         builder.record(_report(1, 1, [1, 0]), (7, 3, 0))
 
 
 def test_builder_rejects_overflowing_band():
-    builder = TraceBuilder((8, 2, 0), num_groups=1, tau=1)
+    builder = TraceBuilder((8, 2, 0), num_groups=1)
     with pytest.raises(ValueError, match="band width"):
         builder.record(_report(1, 6, [0, 1, 0, 5]), (2, 8, 0))
     # zero columns beyond the width are tolerated and dropped
@@ -135,7 +104,7 @@ def test_builder_rejects_overflowing_band():
 
 def test_builder_rejects_zero_groups():
     with pytest.raises(ValueError):
-        TraceBuilder((8, 2, 0), num_groups=0, tau=1)
+        TraceBuilder((8, 2, 0), num_groups=0)
 
 
 def test_replicate_summary_ignores_fired_steps_in_equality():
@@ -145,7 +114,7 @@ def test_replicate_summary_ignores_fired_steps_in_equality():
 
 
 def test_trace_csv_format(tmp_path):
-    builder = TraceBuilder((8, 2, 0), num_groups=3, tau=2)
+    builder = TraceBuilder((8, 2, 0), num_groups=3)
     builder.record(_report(1, 2, [0, 1, 1]), (6, 4, 0))
     builder.record(_report(2, 0, [0, 0, 0], recovered=4), (6, 0, 4))
     trace = builder.finalize(extinction_step=2, cap_reached=False)
@@ -194,11 +163,6 @@ def test_causality_violation_detection_on_tiny_logs():
     )
 
 
-def test_infectious_lifetimes_from_log():
-    log = np.array([[True, False], [True, False], [False, False]])
-    np.testing.assert_array_equal(infectious_lifetimes(log), [2, 0])
-
-
 def _logged_run(seed, n=400, tau=3, initial=10, max_steps=500):
     params = EpidemicParams(
         n=n, alpha=2.8, kappa=1.0, tau=tau, initial_infected=initial, max_steps=max_steps
@@ -224,7 +188,7 @@ def test_engine_logs_pass_causality_audit():
 
 def test_engine_logs_show_exact_infectious_periods():
     state, _, infectious_log = _logged_run(seed=11, tau=3)
-    lifetimes = infectious_lifetimes(infectious_log)
+    lifetimes = infectious_log.sum(axis=0)
     ever = state.infected_at >= 0
     # the run went extinct, so every infection saw its full infectious period
     assert (lifetimes[ever] == 3).all()
