@@ -11,7 +11,7 @@ oracles validate the Monte Carlo engine.
 # every manifest as engine_version; it comes before the imports because
 # harness reads it at import time.  Bump it whenever outputs change at
 # fixed seeds.
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .attractiveness import (
     CellGrid,
@@ -54,8 +54,6 @@ from .metrics import (
     SimulationTrace,
     TraceBuilder,
     causality_violations,
-    extinction_time,
-    survivor_fraction,
     write_summary_csv,
     write_trace_csv,
 )
@@ -123,7 +121,6 @@ __all__ = [
     "enumerate_step",
     "exact_meeting_probability",
     "expected_new_infections_bound",
-    "extinction_time",
     "infection_probability_from_exposures",
     "init_population",
     "parse_config",
@@ -140,7 +137,6 @@ __all__ = [
     "substep_recover",
     "substep_transmit",
     "substream",
-    "survivor_fraction",
     "write_summary_csv",
     "write_trace_csv",
 ]

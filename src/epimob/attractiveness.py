@@ -169,29 +169,34 @@ def power_law_pmf(alpha: float, max_attr: int) -> np.ndarray:
     return w / w.sum()
 
 
-# A dense count step (see dynamics.count_step) places nodes one segment at a
-# time; cutting segments at every BLOCK_CELLS-th cell keeps their hit counts
-# cache-resident.
+# A dense count step (see dynamics.count_step) places nodes one block of
+# BLOCK_CELLS cells at a time, so its per-cell buffers stay cache-resident; at
+# most 2**16 cells a block, so one 16-bit lane addresses any piece of a block.
 BLOCK_CELLS = 2**16
 
 
-class SegmentLayout(NamedTuple):
-    """The cells of a CellGrid cut into segments for dense count steps.
+class Pieces(NamedTuple):
+    """The cells of a CellGrid cut into power-of-two pieces for dense count steps.
 
     Cutting the cell ids at every class start and every multiple of
-    BLOCK_CELLS gives the segments, so a segment lies in one class and
-    holds at most BLOCK_CELLS cells, and a class larger than a block spans
-    several segments.  There are at most K // BLOCK_CELLS + m of them, m
-    being the number of classes.
+    BLOCK_CELLS gives segments, each inside one class and one block.  Each
+    segment is split along the binary digits of its length, largest piece
+    first, so a piece is a run of 2**k cells of one class inside one block,
+    and there are at most 16 pieces a segment.  The pieces tile the cells in
+    order, so those of block b tile cells b * BLOCK_CELLS onwards.
 
-    pick:        probability that a node picks segment s
-    length:      cells in segment s
-    class_first: first segment of each class
+    pick:        probability that a node picks piece p, v_c * length / W
+    offset:      first cell of piece p, counted from the start of its block
+    mask:        length of piece p minus one, as uint16
+    class_first: first piece of each class
+    block_first: first piece of each block
     """
 
     pick: np.ndarray
-    length: np.ndarray
+    offset: np.ndarray
+    mask: np.ndarray
     class_first: np.ndarray
+    block_first: np.ndarray
 
 
 @dataclass(eq=False)
@@ -209,7 +214,7 @@ class CellGrid:
     weight of the classes before c.
 
     Built on first use, so the count-level engine never holds anything of
-    length K: per cell, attractiveness and cell_group (int16 band); layout,
+    length K: per cell, attractiveness and cell_group (int16 band); pieces,
     for dense count steps.
     """
 
@@ -269,14 +274,24 @@ class CellGrid:
         return np.repeat(self.band.astype(np.int16), self.sizes)
 
     @cached_property
-    def layout(self) -> SegmentLayout:
+    def pieces(self) -> Pieces:
         seg_start = np.union1d(self.start, np.arange(0, self.num_cells, BLOCK_CELLS))
-        length = np.diff(seg_start, append=self.num_cells)
-        seg_class = np.searchsorted(self.start, seg_start, side="right") - 1
-        return SegmentLayout(
-            pick=self.values[seg_class] * length / self.total_weight,
-            length=length,
-            class_first=np.searchsorted(seg_start, self.start),
+        seg_length = np.diff(seg_start, append=self.num_cells)
+        # a segment's pieces are the binary digits of its length, highest
+        # first; the pieces tile the cells, so each starts where the last ends
+        digits = 1 << np.arange(BLOCK_CELLS.bit_length())[::-1]
+        seg = [np.flatnonzero(seg_length & d) for d in digits.tolist()]
+        order = np.argsort(np.concatenate(seg), kind="stable")
+        length = np.repeat(digits, [s.size for s in seg])[order]
+        start = np.cumsum(length) - length
+        cls = np.searchsorted(self.start, start, side="right") - 1
+        block = start // BLOCK_CELLS
+        return Pieces(
+            pick=self.values[cls] * length / self.total_weight,
+            offset=start - block * BLOCK_CELLS,
+            mask=(length - 1).astype(np.uint16),
+            class_first=np.searchsorted(start, self.start),
+            block_first=np.flatnonzero(np.diff(block, prepend=-1)),
         )
 
     def choice_probabilities(self) -> np.ndarray:

@@ -31,9 +31,16 @@ holds grows with n or K.
 A count step places its nodes one of two ways, whichever a fitted cost
 model (_sparse_is_cheaper) expects to be faster from |I|, K and the segment
 count alone.  Sorting the placed cells costs O(|I| log |I| + m) time and
-O(|I|) memory, m being the largest attractiveness.  Placing segment by
-segment (see attractiveness.SegmentLayout) costs O(|I| + K) time but holds
-at most BLOCK_CELLS hit counts and CHUNK_PLACEMENTS placements.
+O(|I|) memory, m being the largest attractiveness.  The dense way cuts the
+cells into power-of-two pieces (see attractiveness.Pieces), draws how many
+nodes land on each piece with one multinomial, and then walks the occupied
+blocks of BLOCK_CELLS cells, one pass each: a node lands on cell
+offset + (lane & (length - 1)) of its piece, a lane being 16 uniform bits
+of a raw 64-bit word.  Masking a uniform lane to a power-of-two length is
+exactly uniform, so no draw is rejected, divided or clamped.  At beta = 1
+the hit cells are marked in one block-sized buffer; below, they are counted
+per block.  It costs O(|I| + K) time but holds at most BLOCK_CELLS marks or
+counts, CHUNK_PLACEMENTS placements and a few numbers per piece.
 
 Both engines take one CellGrid; only step() makes it build its per-cell views.
 """
@@ -248,8 +255,9 @@ class CountState:
 
 
 # A dense count step places at most CHUNK_PLACEMENTS nodes at a time into one
-# segment's hit counts, so it holds O(BLOCK_CELLS + CHUNK_PLACEMENTS) numbers
-# plus a few per segment (at most K // BLOCK_CELLS + m), however large |I| is.
+# block's marks or hit counts, so it holds O(BLOCK_CELLS + CHUNK_PLACEMENTS)
+# numbers plus a few per piece (at most 16 (K // BLOCK_CELLS + m)), however
+# large |I| is.
 CHUNK_PLACEMENTS = 2**16
 
 
@@ -276,9 +284,9 @@ def _class_exposure(
     placed cells is the cheaper collapse (_sparse_is_cheaper), the nodes
     pick a class (probability v_c * n_c / W) and a uniform member of it,
     and _exposure_by_class collapses their cells by sorting.  Otherwise
-    they pick a segment (see attractiveness.SegmentLayout) and
-    _segment_exposure places them on its cells.  Both are the per-node
-    law d_v / W.
+    they pick a piece (probability v_c * length / W, see
+    attractiveness.Pieces) and _piece_exposure places them on its cells.
+    Both are the per-node law d_v / W.
     """
     if _sparse_is_cheaper(grid, infectious):
         per_class = rng.multinomial(infectious, grid.pick)
@@ -287,25 +295,29 @@ def _class_exposure(
         off = (rng.random(infectious) * size).astype(np.int64)
         np.minimum(off, size - 1, out=off)  # u < 1 but float round-up can hit size
         return _exposure_by_class(grid.start[cls] + off, grid, beta)
-    layout = grid.layout
-    seg_sums = _segment_exposure(layout.length, rng.multinomial(infectious, layout.pick), beta, rng)
-    return np.add.reduceat(seg_sums, layout.class_first)
+    pieces = grid.pieces
+    counts = rng.multinomial(infectious, pieces.pick)
+    return np.add.reduceat(_piece_exposure(pieces, counts, beta, rng), pieces.class_first)
 
 
-# What one step's placement costs, in ns, fitted to _class_exposure timings
-# on seven grids (K = 1e4 .. 1e8, 6 to 716 classes) on a 2-vCPU x86-64 host:
-# sorting costs about SORT_NS * |I| * log2 |I|; placing by segment about
-# SEGMENT_NS_PER_CELL per cell plus SEGMENT_NS_PER_SEGMENT per segment.
+# What one step's placement costs, in ns, on a 2-vCPU x86-64 host: sorting
+# about SORT_NS * |I| * log2 |I|; placing by pieces about SEGMENT_NS_PER_CELL
+# per cell plus SEGMENT_NS_PER_SEGMENT per segment.  The two dense constants
+# are a least-squares fit, in log space, to the |I| at which both paths cost
+# the same on seven grids (K = 1e4 .. 1e8, 6 to 716 classes), each step timed
+# on a fresh grid so that building the piece table counts.  The fit is held
+# to keep steps of up to 3200 nodes on the 1.6e5-cell awareness grid sorted,
+# as the timings there do (both paths cost the same at about 5700 nodes).
 SORT_NS = 4.3
-SEGMENT_NS_PER_CELL = 1.1
-SEGMENT_NS_PER_SEGMENT = 10_000.0
+SEGMENT_NS_PER_CELL = 0.7
+SEGMENT_NS_PER_SEGMENT = 6600.0
 
 
 def _sparse_is_cheaper(grid: CellGrid, infectious: int) -> bool:
-    """Whether sorting the placed cells beats placing segment by segment.
+    """Whether sorting the placed cells beats placing piece by piece.
 
     Reads only |I|, K and the bound K // BLOCK_CELLS + m on the segment
-    count, m being the number of classes, so it needs no layout.
+    count, m being the number of classes, so it needs no piece table.
     """
     segments = grid.num_cells // attractiveness.BLOCK_CELLS + grid.values.size
     dense = SEGMENT_NS_PER_CELL * grid.num_cells + SEGMENT_NS_PER_SEGMENT * segments
@@ -323,40 +335,76 @@ def _exposure_by_class(cells: np.ndarray, grid: CellGrid, beta: float) -> np.nda
     return np.bincount(cls, weights=_infection_probability(hits, beta), minlength=grid.values.size)
 
 
-def _segment_exposure(
-    length: np.ndarray, seg_counts: np.ndarray, beta: float, rng: np.random.Generator
+def _piece_exposure(
+    pieces: attractiveness.Pieces, counts: np.ndarray, beta: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per segment, the sum over its cells v of 1 - (1 - beta) ** m_v.
+    """Per piece, the sum over its cells v of 1 - (1 - beta) ** m_v.
 
-    seg_counts[s] nodes land uniformly on the length[s] cells of segment s,
-    drawn at most CHUNK_PLACEMENTS at a time and counted per cell, so
-    nothing held is longer than a segment or a chunk.  At beta = 1 a
-    segment's sum is its number of occupied cells.
+    counts[p] nodes land uniformly on the cells of piece p.  Block by block,
+    at most CHUNK_PLACEMENTS at a time, a node of piece p lands on cell
+    offset[p] + (lane & mask[p]) of its block, a lane being 16 uniform bits
+    (_lanes): exactly uniform, since a piece has a power-of-two length.  At
+    beta = 1 the cells hit are marked and a piece's sum is its marked cells;
+    below, the block's hit counts are kept and looked up in a table of
+    1 - (1 - beta) ** h.  Nothing held is longer than a block, a chunk or
+    the piece table.
     """
-    sums = np.zeros(length.size)
-    for s in seg_counts.nonzero()[0]:
-        size, count = int(length[s]), int(seg_counts[s])
-        hits = _place(size, min(CHUNK_PLACEMENTS, count), rng)
-        for first in range(CHUNK_PLACEMENTS, count, CHUNK_PLACEMENTS):
-            hits += _place(size, min(CHUNK_PLACEMENTS, count - first), rng)
-        if beta >= 1.0:
-            sums[s] = np.count_nonzero(hits)
+    sums = np.zeros(counts.size)
+    # one block-sized buffer a step: the cells hit at beta = 1, else each
+    # cell's infection probability (a fresh one per block page-faults)
+    marks = np.zeros(attractiveness.BLOCK_CELLS, dtype=bool) if beta >= 1.0 else None
+    probs = np.empty(attractiveness.BLOCK_CELLS) if marks is None else None
+    totals = np.add.reduceat(counts, pieces.block_first)
+    first = pieces.block_first.tolist() + [counts.size]
+    for b in totals.nonzero()[0].tolist():
+        lo, hi = first[b], first[b + 1]
+        offset, mask = pieces.offset[lo:hi], pieces.mask[lo:hi]
+        size = int(offset[-1] + mask[-1]) + 1
+        hits = None
+        for take in _chunks(counts[lo:hi], int(totals[b]), CHUNK_PLACEMENTS):
+            cells = offset.repeat(take)
+            cells += _lanes(rng, cells.size) & mask.repeat(take)
+            if marks is not None:
+                marks[cells] = True
+            elif hits is None:
+                hits = np.bincount(cells, minlength=size)
+            else:
+                hits += np.bincount(cells, minlength=size)
+        if marks is None:
+            table = _infection_probability(np.arange(hits.max() + 1), beta)
+            # "clip" writes straight into out ("raise" buffers it); no hit
+            # count is out of range
+            np.take(table, hits, out=probs[:size], mode="clip")
+            sums[lo:hi] = np.add.reduceat(probs[:size], offset)
+            continue
+        # most blocks are one piece, and count_nonzero is several times faster
+        # than a reduceat over the block
+        if hi - lo == 1:
+            sums[lo] = np.count_nonzero(marks[:size])
         else:
-            # cells holding 0, 1, 2, ... nodes, weighted by their probability
-            by_count = np.bincount(hits)
-            sums[s] = _infection_probability(np.arange(by_count.size), beta) @ by_count
+            sums[lo:hi] = np.add.reduceat(marks[:size].view(np.uint8), offset, dtype=np.int32)
+        marks[:size] = False
     return sums
 
 
-def _place(size: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Hit counts of `count` nodes placed uniformly on `size` <= 2**16 cells.
+def _chunks(counts: np.ndarray, total: int, size: int):
+    """Per-piece counts summing to `total`, cut in order into vectors of at most `size` nodes."""
+    if total <= size:
+        yield counts
+        return
+    ends = np.cumsum(counts)
+    for first in range(0, total, size):
+        yield np.clip(ends, first, first + size) - np.clip(ends - counts, first, first + size)
 
-    Exact bounded integers.  On a power-of-two range (a full block) 16-bit
-    draws need no rejection and take half the random bits of int64 ones.
+
+def _lanes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` uniform 16-bit lanes from the raw 64-bit words of rng's bit generator.
+
+    Lane j of a word is (word >> 16 * j) & 0xFFFF, whatever the host's byte
+    order; the lanes past `count` in the last word are dropped.
     """
-    dtype = np.uint16 if size & (size - 1) == 0 else np.int64
-    cells = rng.integers(0, size, count, dtype=dtype).astype(np.intp, copy=False)
-    return np.bincount(cells, minlength=size)
+    words = rng.bit_generator.random_raw(-(-count // 4))
+    return words.astype("<u8", copy=False).view("<u2")[:count]
 
 
 def count_step(

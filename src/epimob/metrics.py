@@ -118,19 +118,6 @@ class TraceBuilder:
         )
 
 
-def survivor_fraction(trace: SimulationTrace) -> float:
-    """Fraction of the population never infected by the end of the run."""
-    return trace.survivors / trace.n
-
-
-def extinction_time(trace: SimulationTrace) -> Optional[int]:
-    """First step with zero infected, or None if the run never got there."""
-    idx = np.flatnonzero(trace.infected == 0)
-    if idx.size == 0:
-        return None
-    return int(trace.steps[idx[0]])
-
-
 @dataclass(frozen=True)
 class ReplicateSummary:
     """One row of the cross-replicate summary.

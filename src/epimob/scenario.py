@@ -68,7 +68,9 @@ RUN_FIELDS = (
     Field("replications", int, 1, lambda v: v >= 1,
           "replications must be a positive integer", "independent replicates"),
     Field("log_cells", bool, False, lambda v: True,
-          "log_cells must be a bool", "record per-step cell assignments in traces"),
+          "log_cells must be a bool",
+          "run the per-node engine; its per-step cell logs stay in RunResult.traces, "
+          "and the CLI writes no cell log"),
     Field("out_dir", str, None,
           lambda v: "#" not in v and "\0" not in v and v == v.strip()
           and v.splitlines() in ([], [v]),

@@ -161,14 +161,18 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_log_cells_flag_lands_in_manifest(tmp_path, capsys):
+    # from the CLI the flag only selects the per-node engine: the run writes
+    # the files a default run writes, and no cell log
+    args = ["run", "--n", "300", "--tau", "2", "--replications", "2"]
+    assert cli_main([*args, "--out-dir", str(tmp_path / "default")]) == 0
     dest = tmp_path / "out"
-    code = cli_main(
-        ["run", "--n", "300", "--tau", "2", "--log-cells", "--out-dir", str(dest)]
-    )
-    assert code == 0
+    assert cli_main([*args, "--log-cells", "--out-dir", str(dest)]) == 0
     capsys.readouterr()
-    text = json.loads((dest / "manifest.json").read_text())["config_text"]
-    assert "log_cells=true" in text.splitlines()
+    manifest = json.loads((dest / "manifest.json").read_text())
+    assert "log_cells=true" in manifest["config_text"].splitlines()
+    assert manifest["engine"] == "per-node"
+    names = {d: sorted(p.name for p in (tmp_path / d).iterdir()) for d in ("default", "out")}
+    assert names["out"] == names["default"]
 
 
 def _oracle_rows(out):

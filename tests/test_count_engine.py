@@ -45,17 +45,17 @@ def _agrees(counts: np.ndarray, exact: np.ndarray) -> bool:
     return bool(np.all(np.abs(counts - trials * exact) <= Z * spread + SLACK))
 
 
-def _force_segments(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
-    """Place every count step by segment, with small blocks and chunks.
+def _force_pieces(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
+    """Place every count step piece by piece, with small blocks and chunks.
 
     Returns the number of steps that took each path, so a test can assert
-    that it really reached the segment path.
+    that it really reached the pieces path.
     """
     mp.setattr(attractiveness, "BLOCK_CELLS", block)
     mp.setattr(dynamics, "CHUNK_PLACEMENTS", chunk)
     mp.setattr(dynamics, "SEGMENT_NS_PER_CELL", 0.0)
     mp.setattr(dynamics, "SEGMENT_NS_PER_SEGMENT", 0.0)
-    calls = {"sorted": 0, "segments": 0}
+    calls = {"sorted": 0, "pieces": 0}
 
     def spy(name, key):
         real = getattr(dynamics, name)
@@ -67,7 +67,7 @@ def _force_segments(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
         mp.setattr(dynamics, name, counted)
 
     spy("_exposure_by_class", "sorted")
-    spy("_segment_exposure", "segments")
+    spy("_piece_exposure", "pieces")
     return calls
 
 
@@ -75,12 +75,12 @@ def _force_segments(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
 def tiny_blocks(monkeypatch):
     # blocks of 2 cells placed 2 nodes at a time: grids of a few cells then
     # have several blocks, classes spanning blocks and several chunks a
-    # segment; a zero segment cost sends every step there
-    return _force_segments(monkeypatch, 2, 2)
+    # block; a zero dense cost sends every step there
+    return _force_pieces(monkeypatch, 2, 2)
 
 
-def _only_segments(calls: dict) -> bool:
-    return calls["segments"] > 0 and calls["sorted"] == 0
+def _only_pieces(calls: dict) -> bool:
+    return calls["pieces"] > 0 and calls["sorted"] == 0
 
 
 def _params(n_nodes: int, beta: float) -> EpidemicParams:
@@ -113,7 +113,7 @@ def test_count_step_matches_enumeration(beta):
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 def test_count_step_matches_enumeration_in_tiny_blocks(beta, tiny_blocks):
     test_count_step_matches_enumeration(beta)
-    assert _only_segments(tiny_blocks), tiny_blocks
+    assert _only_pieces(tiny_blocks), tiny_blocks
 
 
 def _exact_band_pmf(weights, i_count, u_count, beta):
@@ -160,11 +160,11 @@ def test_band_split_matches_exact_band_masses(weights):
     assert _agrees(counts.ravel(), exact.ravel()), counts.tolist()
 
 
-# the same band masses when every step is placed segment by segment
+# the same band masses when every step is placed piece by piece
 @pytest.mark.parametrize("weights", [[2, 3, 3, 4, 6], [2, 2, 2, 3, 3, 3, 3, 4, 5, 5, 6, 7, 7, 7, 7]])
 def test_band_split_matches_exact_band_masses_in_tiny_blocks(weights, tiny_blocks):
     test_band_split_matches_exact_band_masses(weights)
-    assert _only_segments(tiny_blocks), tiny_blocks
+    assert _only_pieces(tiny_blocks), tiny_blocks
 
 
 def test_count_step_retires_cohorts_with_the_per_node_rule():
@@ -193,15 +193,15 @@ def test_count_step_band_width_follows_the_largest_drawn_weight():
 
 
 def test_segment_step_draws_are_pinned():
-    # |I| = 8000 on a 1e4-cell grid is placed segment by segment: the outcome
-    # and the next draw of each stream of engine_version 0.4.0 at this seed
+    # |I| = 8000 on a 1e4-cell grid is placed piece by piece: the outcome
+    # and the next draw of each stream of engine_version 0.6.0 at this seed
     params = preset_emerging(10**4).params
     grid = build_grid(params, substream(3, 0, 0))
     assert not _sparse_is_cheaper(grid, 8000)
     streams = ReplicateStreams.from_seed(3, 0)
     report = count_step(CountState(2000, 0, {0: 8000}), grid, params, streams)
-    assert report.new_infections_by_group.tolist() == [0, 485, 375, 259, 123]
-    assert streams.movement.random() == 0.5698803558557956
+    assert report.new_infections_by_group.tolist() == [0, 480, 374, 258, 123]
+    assert streams.movement.random() == 0.47817055472003756
     assert streams.transmission.random() == 0.1579143911030534
 
 
@@ -257,7 +257,7 @@ def test_count_engine_cost_is_bounded_in_n():
 def _dense_step_peak(n: int, infectious: int) -> tuple[int, int]:
     """tracemalloc peak of one count step with `infectious` nodes, and its bound.
 
-    The bound is 64 bytes per block cell, chunk placement and segment: just
+    The bound is 64 bytes per block cell, chunk placement and piece: just
     over 8 MiB with the default 2**16-cell blocks and 2**16-placement chunks.
     """
     params = preset_emerging(n).params
@@ -270,12 +270,12 @@ def _dense_step_peak(n: int, infectious: int) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
     assert report.new_infections_total > 0
-    segments = params.num_cells // attractiveness.BLOCK_CELLS + grid.values.size + 1
-    return peak, 64 * (attractiveness.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + segments)
+    pieces = grid.pieces.pick.size  # built by the step, inside the traced peak
+    return peak, 64 * (attractiveness.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + pieces)
 
 
 def test_dense_count_step_memory_is_bounded():
-    # |I| = 6e5 on a 1e6-cell grid: placements are drawn segment by segment
+    # |I| = 6e5 on a 1e6-cell grid: placements are drawn block by block
     # and chunk by chunk, so nothing of length |I| or K is held
     peak, bound = _dense_step_peak(10**6, 600_000)
     assert peak < bound
@@ -283,14 +283,15 @@ def test_dense_count_step_memory_is_bounded():
 
 def test_count_step_memory_is_bounded_at_1e8_cells():
     # |I| = 1.2e7 on a 1e8-cell grid, where sorting the placed cells held
-    # 708 MiB: the cost switch places these nodes segment by segment
+    # 708 MiB: the cost switch places these nodes block by block
     peak, bound = _dense_step_peak(10**8, 12_000_000)
     assert peak < bound
 
 
 def test_cost_switch_sorts_small_outbreaks_and_segments_large_ones():
-    # the awareness workload's largest steps (|I| = 3200 on 1.6e5 cells) and
-    # every industrialized step stay sorted; large outbreaks go by segment
+    # steps of up to |I| = 3200 on the 1.6e5-cell awareness grid (that
+    # workload's own stay under 500) and every industrialized step stay
+    # sorted; large outbreaks go by pieces
     aware = dataclasses.replace(preset_emerging(10**4).params, alpha=6.0, kappa=16.0, tau=2)
     assert _sparse_is_cheaper(build_grid(aware, substream(1, 0, 0)), 3200)
     assert _sparse_is_cheaper(build_grid(preset_industrialized(10**5).params, substream(1, 0, 0)), 1000)
@@ -304,16 +305,17 @@ class _Recorder:
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
+        self.bit_generator = self
         self.counts = None
-        self.draws = []
+        self.words = []
 
     def multinomial(self, n, pvals):
         self.counts = self.rng.multinomial(n, pvals)
         return self.counts
 
-    def integers(self, low, high, size, dtype=np.int64):
-        self.draws.append((high, self.rng.integers(low, high, size, dtype=dtype)))
-        return self.draws[-1][1]
+    def random_raw(self, size):
+        self.words.append(self.rng.bit_generator.random_raw(size))
+        return self.words[-1]
 
 
 @given(
@@ -324,8 +326,8 @@ class _Recorder:
 )
 @settings(max_examples=80, deadline=None)
 def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
-    # up to 180 cells and 60 nodes, collapsed by sorting and placed segment
-    # by segment, with blocks of 1 to 40 cells and chunks of 1 to 70 placements
+    # up to 180 cells and 60 nodes, collapsed by sorting and placed piece
+    # by piece, with blocks of 1 to 40 cells and chunks of 1 to 70 placements
     sizes = np.array(data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=6)), dtype=np.int64)
     num_cells = int(sizes.sum())
     cell_class = np.repeat(np.arange(sizes.size), sizes)
@@ -341,29 +343,42 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
     np.testing.assert_allclose(_exposure_by_class(cells, grid, beta), direct(cells), rtol=1e-12, atol=1e-12)
 
     with pytest.MonkeyPatch.context() as mp:
-        calls = _force_segments(mp, block, chunk)
+        calls = _force_pieces(mp, block, chunk)
         grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
-        layout = grid.layout
-        # segments tile each class and never cross a block boundary
-        first = np.cumsum(layout.length) - layout.length
-        assert np.all(first // block == (first + layout.length - 1) // block)
-        np.testing.assert_array_equal(np.add.reduceat(layout.length, layout.class_first), sizes)
-        assert layout.length.size <= num_cells // block + sizes.size
-
+        pieces = grid.pieces
         rng = _Recorder(substream(4104, num_cells, 2))
         exposure = _class_exposure(grid, len(cells), beta, rng)
-        assert _only_segments(calls), calls
-    # each segment receives exactly its count, in chunks, on its own cells
-    draws = iter(rng.draws)
+        assert _only_pieces(calls), calls
+    # pieces are powers of two that tile each class and never cross a block
+    length = pieces.mask.astype(np.int64) + 1
+    assert np.all(length & (length - 1) == 0)
+    block_of = np.searchsorted(pieces.block_first, np.arange(length.size), side="right") - 1
+    start = block_of * block + pieces.offset
+    assert np.all(pieces.offset + length <= block)
+    np.testing.assert_array_equal(start, np.cumsum(length) - length)
+    np.testing.assert_array_equal(np.add.reduceat(length, pieces.class_first), sizes)
+    assert length.size <= block.bit_length() * (num_cells // block + sizes.size)
+    # block by block, each chunk of at most `chunk` nodes takes its own words,
+    # four lanes a word from the low bits up, one lane a node
+    words = iter(rng.words)
     placed = []
-    for s in rng.counts.nonzero()[0]:
-        got = 0
-        while got < rng.counts[s]:
-            high, seg_cells = next(draws)
-            assert high == layout.length[s] and 0 < seg_cells.size <= chunk
-            assert seg_cells.min() >= 0 and seg_cells.max() < high
-            got += seg_cells.size
-            placed.append(first[s] + seg_cells)
-        assert got == rng.counts[s]
-    assert next(draws, None) is None
-    np.testing.assert_allclose(exposure, direct(np.concatenate(placed)), rtol=1e-12, atol=1e-12)
+    for lo, hi in zip(pieces.block_first, np.append(pieces.block_first[1:], length.size)):
+        nodes = np.repeat(np.arange(lo, hi), rng.counts[lo:hi])
+        for first in range(0, nodes.size, chunk):
+            piece = nodes[first:first + chunk]
+            raw = next(words)
+            assert raw.size == -(-piece.size // 4)
+            lanes = np.array([int(w) >> 16 * j & 0xFFFF for w in raw for j in range(4)])
+            placed.append(start[piece] + (lanes[:piece.size] & (length[piece] - 1)))
+    assert next(words, None) is None
+    placed = np.concatenate(placed)
+    assert placed.size == len(cells)
+    np.testing.assert_allclose(exposure, direct(placed), rtol=1e-12, atol=1e-12)
+
+
+def test_lanes_are_16_bit_slices_of_the_raw_words_from_the_low_end():
+    # lane j of a word is (word >> 16 * j) & 0xFFFF on any host byte order
+    words = substream(9, 0, 2).bit_generator.random_raw(3)
+    lanes = dynamics._lanes(substream(9, 0, 2), 10)
+    assert lanes.dtype == np.uint16 and lanes.size == 10
+    assert lanes.tolist() == [int(w) >> 16 * j & 0xFFFF for w in words for j in range(4)][:10]

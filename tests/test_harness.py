@@ -89,7 +89,7 @@ def test_written_manifest_names_version_and_engine(tmp_path):
         out_dir = tmp_path / engine
         run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["engine_version"] == epimob.__version__ == "0.5.0"
+        assert manifest["engine_version"] == epimob.__version__ == "0.6.0"
         assert manifest["engine"] == engine
 
 

@@ -14,10 +14,8 @@ from epimob import (
     TraceBuilder,
     build_grid,
     causality_violations,
-    extinction_time,
     init_population,
     step,
-    survivor_fraction,
     write_summary_csv,
     write_trace_csv,
 )
@@ -50,16 +48,6 @@ def test_trace_properties():
     assert trace.survivors == 5
     assert trace.ever_infected == 5
     assert trace.last_step == 5
-    assert survivor_fraction(trace) == pytest.approx(0.5)
-
-
-def test_extinction_time_from_arrays():
-    assert extinction_time(_trace([5, 4, 3, 2, 1, 0])) == 5
-    assert extinction_time(_trace([3, 0, 0])) == 1
-
-
-def test_extinction_time_cap_marker():
-    assert extinction_time(_trace([3, 2, 2])) is None
 
 
 def _report(s, total, by_group, recovered=0):
