@@ -28,26 +28,26 @@ Recovered nodes need no placing at all.  Its state is |U|, the recovered
 count and the infection cohorts, keyed by infection step, so nothing it
 holds grows with n or K.
 
-A count step places its nodes one of two ways, whichever a fitted cost
-model (_sparse_is_cheaper) expects to be faster from |I|, K and the segment
-count alone.  Sorting the placed cells costs O(|I| log |I| + m) time and
-O(|I|) memory, m being the largest attractiveness.  The dense way cuts the
-cells into power-of-two pieces (see attractiveness.Pieces), draws how many
-nodes land on each piece with one multinomial, and then walks the occupied
-blocks of BLOCK_CELLS cells, one pass each: a node lands on cell
-offset + (lane & (length - 1)) of its piece, a lane being 16 uniform bits
-of a raw 64-bit word.  Masking a uniform lane to a power-of-two length is
-exactly uniform, so no draw is rejected, divided or clamped.  At beta = 1
-the hit cells are marked in one block-sized buffer; below, they are counted
-per block.  It costs O(|I| + K) time but holds at most BLOCK_CELLS marks or
-counts, CHUNK_PLACEMENTS placements and a few numbers per piece.
+A count step places its nodes one of two ways, chosen from |I| and K alone
+(_sparse_is_cheaper).  A small step draws each node's cell with
+choose_cells, the per-node engine's exact sampler, and collapses the cells
+by sorting, in O(|I| log |I| + m) time and O(|I|) memory, m being the number
+of classes.  A large one cuts the cells into power-of-two pieces (see
+attractiveness.Pieces), draws how many nodes land on each piece with one
+multinomial, and then walks the occupied blocks of BLOCK_CELLS cells, one
+pass each: a node lands on cell offset + (lane & (length - 1)) of its
+piece, a lane being 16 uniform bits of a raw 64-bit word.  Masking a
+uniform lane to a power-of-two length is exactly uniform, so no draw is
+rejected, divided or clamped.  At beta = 1 the hit cells are marked in one
+block-sized buffer; below, they are counted per block.  It costs
+O(|I| + K) time but holds at most BLOCK_CELLS marks or counts,
+CHUNK_PLACEMENTS placements and a few numbers per piece.
 
 Both engines take one CellGrid; only step() makes it build its per-cell views.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,17 +131,7 @@ def _exposures(
     target_idx: np.ndarray,
     num_cells: int,
 ) -> np.ndarray:
-    """Count infectious cellmates per target node.
-
-    Uses a sort-and-search path when the active sets are small relative to
-    the grid and a bincount over cells otherwise; both give identical counts.
-    """
-    if (infectious_idx.size + target_idx.size) * 8 < num_cells:
-        ic = np.sort(cells[infectious_idx])
-        tc = cells[target_idx]
-        lo = np.searchsorted(ic, tc, side="left")
-        hi = np.searchsorted(ic, tc, side="right")
-        return hi - lo
+    """Count infectious cellmates per target node, by a bincount over cells."""
     occupancy = np.bincount(cells[infectious_idx], minlength=num_cells)
     return occupancy[cells[target_idx]]
 
@@ -280,48 +270,31 @@ def _class_exposure(
 ) -> np.ndarray:
     """Place `infectious` nodes; per class, the sum over its cells of 1 - (1 - beta) ** m_v.
 
-    Each node picks cell v with probability d_v / W.  When sorting the
-    placed cells is the cheaper collapse (_sparse_is_cheaper), the nodes
-    pick a class (probability v_c * n_c / W) and a uniform member of it,
-    and _exposure_by_class collapses their cells by sorting.  Otherwise
-    they pick a piece (probability v_c * length / W, see
-    attractiveness.Pieces) and _piece_exposure places them on its cells.
-    Both are the per-node law d_v / W.
+    Each node picks cell v with probability d_v / W.  A small step
+    (_sparse_is_cheaper) draws the cells with choose_cells and
+    _exposure_by_class collapses them by sorting.  Otherwise the nodes pick
+    a piece (probability v_c * length / W, see attractiveness.Pieces) and
+    _piece_exposure places them on its cells.  Both are the per-node law.
     """
     if _sparse_is_cheaper(grid, infectious):
-        per_class = rng.multinomial(infectious, grid.pick)
-        cls = np.repeat(np.arange(grid.values.size), per_class)
-        size = grid.sizes[cls]
-        off = (rng.random(infectious) * size).astype(np.int64)
-        np.minimum(off, size - 1, out=off)  # u < 1 but float round-up can hit size
-        return _exposure_by_class(grid.start[cls] + off, grid, beta)
+        return _exposure_by_class(choose_cells(grid, rng, infectious), grid, beta)
     pieces = grid.pieces
     counts = rng.multinomial(infectious, pieces.pick)
     return np.add.reduceat(_piece_exposure(pieces, counts, beta, rng), pieces.class_first)
 
 
-# What one step's placement costs, in ns, on a 2-vCPU x86-64 host: sorting
-# about SORT_NS * |I| * log2 |I|; placing by pieces about SEGMENT_NS_PER_CELL
-# per cell plus SEGMENT_NS_PER_SEGMENT per segment.  The two dense constants
-# are a least-squares fit, in log space, to the |I| at which both paths cost
-# the same on seven grids (K = 1e4 .. 1e8, 6 to 716 classes), each step timed
-# on a fresh grid so that building the piece table counts.  The fit is held
-# to keep steps of up to 3200 nodes on the 1.6e5-cell awareness grid sorted,
-# as the timings there do (both paths cost the same at about 5700 nodes).
-SORT_NS = 4.3
-SEGMENT_NS_PER_CELL = 0.7
-SEGMENT_NS_PER_SEGMENT = 6600.0
+# A count step sorts while |I| < SORT_NODES + K // SORT_CELLS_PER_NODE and
+# goes piece by piece above.  Timed on a 2-vCPU x86-64 host, both paths cost
+# the same at about |I| = 9 900 on the 1e6-cell preset_emerging grid and
+# 345 000 on the 1e8-cell one; the rule switches at 10 884 and 784 322, at
+# 3 150 on a 1e4-cell grid and at 4 322 on the 1.6e5-cell awareness grid.
+SORT_NODES = 3 * 2**10
+SORT_CELLS_PER_NODE = 2**7
 
 
 def _sparse_is_cheaper(grid: CellGrid, infectious: int) -> bool:
-    """Whether sorting the placed cells beats placing piece by piece.
-
-    Reads only |I|, K and the bound K // BLOCK_CELLS + m on the segment
-    count, m being the number of classes, so it needs no piece table.
-    """
-    segments = grid.num_cells // attractiveness.BLOCK_CELLS + grid.values.size
-    dense = SEGMENT_NS_PER_CELL * grid.num_cells + SEGMENT_NS_PER_SEGMENT * segments
-    return SORT_NS * infectious * math.log2(infectious) < dense
+    """Whether sorting the placed cells beats placing piece by piece; reads only |I| and K."""
+    return infectious < SORT_NODES + grid.num_cells // SORT_CELLS_PER_NODE
 
 
 def _exposure_by_class(cells: np.ndarray, grid: CellGrid, beta: float) -> np.ndarray:

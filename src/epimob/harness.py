@@ -167,9 +167,7 @@ class _NodeEngine:
         return report
 
     def apply(self, overlay: ParamOverlay) -> None:
-        self.params, self.grid = apply_intervention(
-            self.state, self.grid, self.params, overlay, self.streams.grid
-        )
+        self.params, self.grid = apply_intervention(self.state, self.params, overlay, self.streams.grid)
 
 
 class _CountEngine:

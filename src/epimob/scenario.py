@@ -210,7 +210,6 @@ def preset_industrialized(n: int) -> ScenarioConfig:
 
 def apply_intervention(
     state: PopulationState | CountState,
-    grid: CellGrid,
     params: EpidemicParams,
     overlay: ParamOverlay,
     rng: np.random.Generator,

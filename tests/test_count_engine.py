@@ -22,6 +22,7 @@ from epimob import (
     ScenarioConfig,
     build_grid,
     causality_violations,
+    choose_cells,
     count_step,
     draw_class_counts,
     enumerate_step,
@@ -53,8 +54,8 @@ def _force_pieces(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
     """
     mp.setattr(attractiveness, "BLOCK_CELLS", block)
     mp.setattr(dynamics, "CHUNK_PLACEMENTS", chunk)
-    mp.setattr(dynamics, "SEGMENT_NS_PER_CELL", 0.0)
-    mp.setattr(dynamics, "SEGMENT_NS_PER_SEGMENT", 0.0)
+    mp.setattr(dynamics, "SORT_NODES", 0)
+    mp.setattr(dynamics, "SORT_CELLS_PER_NODE", float("inf"))  # K // inf == 0
     calls = {"sorted": 0, "pieces": 0}
 
     def spy(name, key):
@@ -75,7 +76,7 @@ def _force_pieces(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
 def tiny_blocks(monkeypatch):
     # blocks of 2 cells placed 2 nodes at a time: grids of a few cells then
     # have several blocks, classes spanning blocks and several chunks a
-    # block; a zero dense cost sends every step there
+    # block; a zero sort bound sends every step there
     return _force_pieces(monkeypatch, 2, 2)
 
 
@@ -186,15 +187,28 @@ def test_count_step_band_width_follows_the_largest_drawn_weight():
     params = EpidemicParams(n=60, alpha=2.8, kappa=0.2, tau=3, beta=0.7)
     streams = ReplicateStreams.from_seed(2, 0)
     report = count_step(CountState(50, 0, {0: 10}), grid, params, streams)
-    # the outcome and next draw of engine_version 0.4.0 at this seed; this
-    # step is sorted, and on this grid that draws as 0.3.0's block path did
-    assert report.new_infections_by_group.tolist() == [0, 7, 8]
+    # the outcome and next draw of engine_version 0.7.0 at this seed; this
+    # step is sorted, its cells drawn by choose_cells
+    assert report.new_infections_by_group.tolist() == [0, 14, 18]
     assert streams.transmission.random() == 0.08578880394073785
+
+
+def test_sparse_step_places_nodes_with_choose_cells():
+    # |I| = 5000 on a 1e6-cell grid sorts: it consumes exactly the draws of
+    # choose_cells, so it follows the per-node engine's exact sampler
+    grid = build_grid(preset_emerging(10**6).params, substream(6, 0, 0))
+    assert _sparse_is_cheaper(grid, 5000)
+    step_rng, direct_rng = substream(6, 0, 2), substream(6, 0, 2)
+    got = _class_exposure(grid, 5000, 0.5, step_rng)
+    want = _exposure_by_class(choose_cells(grid, direct_rng, 5000), grid, 0.5)
+    np.testing.assert_array_equal(got, want)
+    assert step_rng.random() == direct_rng.random()
 
 
 def test_segment_step_draws_are_pinned():
     # |I| = 8000 on a 1e4-cell grid is placed piece by piece: the outcome
-    # and the next draw of each stream of engine_version 0.6.0 at this seed
+    # and the next draw of each stream of engine_version 0.6.0 at this seed,
+    # which 0.7.0 keeps
     params = preset_emerging(10**4).params
     grid = build_grid(params, substream(3, 0, 0))
     assert not _sparse_is_cheaper(grid, 8000)
@@ -291,7 +305,8 @@ def test_count_step_memory_is_bounded_at_1e8_cells():
 def test_cost_switch_sorts_small_outbreaks_and_segments_large_ones():
     # steps of up to |I| = 3200 on the 1.6e5-cell awareness grid (that
     # workload's own stay under 500) and every industrialized step stay
-    # sorted; large outbreaks go by pieces
+    # sorted; large outbreaks go by pieces.  The rule switches at |I| = 4322
+    # on the awareness grid, 10 884 at K = 1e6 and 784 322 at K = 1e8
     aware = dataclasses.replace(preset_emerging(10**4).params, alpha=6.0, kappa=16.0, tau=2)
     assert _sparse_is_cheaper(build_grid(aware, substream(1, 0, 0)), 3200)
     assert _sparse_is_cheaper(build_grid(preset_industrialized(10**5).params, substream(1, 0, 0)), 1000)

@@ -27,7 +27,7 @@ def test_occupancy_demo_runs():
 
 
 # the last line each demo prints; the first two reach dense count steps
-# (8 * |I| >= K) at n = 1e4
+# (|I| >= 3150 on the 1e4-cell grid) at n = 1e4
 SUMMARIES = {
     "emerging_outbreak.py": r"large outbreaks, yet a polynomial-sized block never gets infected",
     "awareness_trigger.py":

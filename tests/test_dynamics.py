@@ -183,24 +183,6 @@ def test_exposure_counts_match_direct_count(num_cells, cells):
     assert got.tolist() == want
 
 
-def test_exposures_sparse_and_dense_paths_agree():
-    rng = np.random.default_rng(0)
-    assignment = rng.integers(0, 1000, size=60)
-    infectious = np.arange(0, 20)
-    targets = np.arange(20, 60)
-    # num_cells >> active forces the sort path; small num_cells the bincount path
-    sparse = _exposures(assignment, infectious, targets, 1000)
-    dense = _exposures(assignment % 97, infectious, targets, 97)
-    np.testing.assert_array_equal(
-        sparse, _exposures(assignment, infectious, targets, 1000)
-    )
-    want = [
-        sum(1 for i in infectious if (assignment % 97)[i] == (assignment % 97)[t])
-        for t in targets
-    ]
-    assert dense.tolist() == want
-
-
 def test_recover_timeline():
     # tau=3, infected at step 5: infectious through step 8, retired at its end
     params = small_params(1, tau=3)

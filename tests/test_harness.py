@@ -89,7 +89,7 @@ def test_written_manifest_names_version_and_engine(tmp_path):
         out_dir = tmp_path / engine
         run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["engine_version"] == epimob.__version__ == "0.6.0"
+        assert manifest["engine_version"] == epimob.__version__ == "0.7.0"
         assert manifest["engine"] == engine
 
 
@@ -199,13 +199,13 @@ def test_pool_chunks_do_not_change_any_output_byte(tmp_path):
 
 
 # sha256 of the files a default (count-engine) run writes, as engine_version
-# 0.4.0 wrote them: a change in any count-engine draw or in the CSV formats fails
+# 0.7.0 wrote them: a change in any count-engine draw or in the CSV formats fails
 DEFAULT_RUN_DIGESTS = {
-    "summary.csv": "1d4f70bc6b0c68d90ed2e69679312d0e4072646b64c98d3d6817835567f6f73d",
-    "trace_0000.csv": "8f1a592703cebf77cbe0169e2586dcaa76ce963dec79e74b78c32c6a9fdc9549",
-    "trace_0001.csv": "7a7b6fd8e80f4bbe8ad9a7bda87e35ca9e355766113de89ca60669e65759c126",
-    "trace_0002.csv": "e3cc97bb44ae4d67aaa404505b6af24719ae197fcb0a8941de8b22bb32c3bea5",
-    "trace_0003.csv": "6978385772b65e2e9e880ae202a6963cfa7fbeddc815462a39c88707ab0870b8",
+    "summary.csv": "e17aea3f0f70cd8fe7eff60112ecf10ad4517d90453521315bde1d7d819c4cc8",
+    "trace_0000.csv": "4be0199bd6a9905050c33b281eed3d76e7c614f481f471ef1bb1e88c82425add",
+    "trace_0001.csv": "132f69cf857cbed011dfcfae1972bfc8776ad15ae8cc1a84f7e6586d1bf498e7",
+    "trace_0002.csv": "10e03b4e85ade876eace6855fe4dc9f74bfa2032fd60f10e1e0d6e79eca02fcf",
+    "trace_0003.csv": "9419ac846cd141294b0a12eec9ba69dfe756b5be56d3039619bd7b5005f99e48",
 }
 
 

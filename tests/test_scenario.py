@@ -313,7 +313,7 @@ def test_apply_intervention_swaps_world_not_population():
     infected_at_before = state.infected_at.copy()
 
     overlay = ParamOverlay(alpha=6.0, kappa=16.0, tau=2)
-    merged, new_grid = apply_intervention(state, grid, params, overlay, substream(7, 0, 0))
+    merged, new_grid = apply_intervention(state, params, overlay, substream(7, 0, 0))
 
     assert merged.num_cells == 160_000
     assert new_grid.attractiveness.size == 160_000
@@ -327,13 +327,12 @@ def test_apply_intervention_swaps_world_not_population():
 
 def test_apply_intervention_checks_population_size():
     config = preset_emerging(10_000)
-    grid = build_grid(config.params, substream(7, 0, 0))
     state = init_population(config.params, substream(7, 0, 1))
     other = EpidemicParams(n=500, alpha=2.8, kappa=1.0, tau=2)
     with pytest.raises(ValueError, match="population size"):
-        apply_intervention(state, grid, other, ParamOverlay(tau=1), substream(7, 0, 0))
+        apply_intervention(state, other, ParamOverlay(tau=1), substream(7, 0, 0))
     counts = CountState(9_000, 900, {0: 60, 3: 40})
     with pytest.raises(ValueError, match="population size"):
-        apply_intervention(counts, grid, other, ParamOverlay(tau=1), substream(7, 0, 0))
-    merged, _ = apply_intervention(counts, grid, config.params, ParamOverlay(tau=1), substream(7, 0, 0))
+        apply_intervention(counts, other, ParamOverlay(tau=1), substream(7, 0, 0))
+    merged, _ = apply_intervention(counts, config.params, ParamOverlay(tau=1), substream(7, 0, 0))
     assert merged.tau == 1 and counts.counts() == (9_000, 100, 900)
