@@ -98,8 +98,8 @@ class Field:
 
 
 PARAM_FIELDS = (
-    Field("n", int, None, lambda v: v >= 1,
-          "n must be a positive integer", "population size"),
+    Field("n", int, None, lambda v: 1 <= v < 2**63,
+          "n must be a positive integer below 2**63", "population size"),
     Field("alpha", float, 2.8, lambda v: math.isfinite(v) and v > 2,
           "alpha must exceed 2", "attractiveness exponent, strictly greater than 2"),
     Field("kappa", float, 1.0, lambda v: math.isfinite(v) and v > 0,
@@ -120,7 +120,10 @@ class EpidemicParams:
     """Validated parameter set for one simulation run.
 
     Each field's meaning (help), config default and range is its row of
-    PARAM_FIELDS; __post_init__ adds the checks that span fields.
+    PARAM_FIELDS; __post_init__ adds the checks that span fields.  The grid
+    must fit int64: fewer than 2**63 cells, and K * max_attractiveness, which
+    bounds the total weight W, below 2**63.  num_cells and
+    max_attractiveness are computed once, by that validation.
     """
 
     n: int
@@ -136,6 +139,11 @@ class EpidemicParams:
             f.check(getattr(self, f.name))
         if self.initial_infected > self.n:
             raise ConfigError("initial_infected must not exceed n")
+        # checked before the cutoff, whose one-step walk to the edge never
+        # ends once m outgrows float precision
+        kn = self.kappa * self.n
+        if not (math.isfinite(kn) and round(kn) < 2**63):
+            raise ConfigError("grid too large: kappa * n must round to fewer than 2**63 cells")
         if self.num_cells < 1:
             raise ConfigError("kappa * n rounds to zero cells")
         if self.max_attractiveness < 2:
@@ -143,12 +151,17 @@ class EpidemicParams:
                 "attractiveness support is empty: floor((kappa * n) ** (1 / alpha)) "
                 f"= {self.max_attractiveness}, need at least 2; increase n or kappa"
             )
+        if self.num_cells * self.max_attractiveness >= 2**63:
+            raise ConfigError(
+                "grid too large: round(kappa * n) * max_attractiveness, which bounds "
+                "the total weight, must be below 2**63"
+            )
 
-    @property
+    @cached_property
     def num_cells(self) -> int:
         return int(round(self.kappa * self.n))
 
-    @property
+    @cached_property
     def max_attractiveness(self) -> int:
         return attractiveness_cutoff(self.n, self.kappa, self.alpha)
 
@@ -240,13 +253,16 @@ class CellGrid:
             raise ValueError("values must increase within [2, max_attractiveness]")
         if sizes.min() < 1:
             raise ValueError("every class must hold at least one cell")
-        self.num_cells = int(sizes.sum())
-        self.total_weight = int(values @ sizes)
-        self.pick = values * sizes / self.total_weight
+        weight = values * sizes
+        cells_end = sizes.cumsum()
+        weight_end = weight.cumsum()
+        self.num_cells = int(cells_end[-1])
+        self.total_weight = int(weight_end[-1])
+        self.pick = weight / self.total_weight
         self.band = np.frexp(values)[1] - 1
         self.num_bands = int(values[-1]).bit_length()
-        self.start = np.cumsum(sizes) - sizes
-        self.weight_start = np.cumsum(values * sizes) - values * sizes
+        self.start = cells_end - sizes
+        self.weight_start = weight_end - weight
 
     @classmethod
     def from_weights(cls, weights, alpha: float | None = None) -> "CellGrid":

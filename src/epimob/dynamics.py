@@ -398,6 +398,7 @@ def count_step(
     state.step += 1
     move_rng, transmit_rng = _role_streams(rng)
     by_group = np.zeros(grid.num_bands, dtype=np.int64)
+    new = 0
     infectious = sum(state.cohorts.values())
     if infectious and state.uninfected:
         exposure = _class_exposure(grid, infectious, params.beta, move_rng)
@@ -417,7 +418,7 @@ def count_step(
     state.recovered += retired
     return StepReport(
         step=state.step,
-        new_infections_total=int(by_group.sum()),
+        new_infections_total=new,
         new_infections_by_group=by_group,
         newly_recovered=retired,
     )

@@ -62,9 +62,10 @@ class RunManifest:
 
     engine is "count" or "per-node", the engine that produced the traces;
     the two agree in law, not byte for byte.  derived_seeds[r] is a pure
-    function of (master_seed, r).  started_at
-    and wall_seconds are informational only and excluded from the
-    determinism guarantee.
+    function of (master_seed, r), the seed of replicate r's summary row.
+    wall_seconds runs from the start of run_replications until the trace and
+    summary CSVs are written.  started_at and wall_seconds are informational
+    only and excluded from the determinism guarantee.
     """
 
     engine_version: str
@@ -108,13 +109,30 @@ class RunResult:
     aggregate: AggregateStats
 
 
+def _quantile(ordered: list, q: float) -> float:
+    """np.quantile(ordered, q) bit for bit, for a sorted non-empty list of floats.
+
+    numpy's default linear rule: the rank (n - 1) * q splits into an index i
+    and a fraction t, and the result lies between ordered[i] = a and the next
+    value b.  Like numpy's _lerp it is a + (b - a) * t below t = 0.5 and
+    b - (b - a) * (1 - t) from there on.
+    """
+    rank = (len(ordered) - 1) * q
+    i = int(rank)
+    t = rank - i
+    a = ordered[i]
+    b = ordered[min(i + 1, len(ordered) - 1)]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _stat_summary(values) -> StatSummary:
     values = list(values)
     if not values:
         nan = math.nan
         return StatSummary(nan, nan, nan, nan)
-    q10, median, q90 = np.quantile(np.asarray(values, dtype=np.float64), [0.10, 0.50, 0.90])
-    return StatSummary(float(np.mean(values)), float(q10), float(median), float(q90))
+    ordered = sorted(map(float, values))
+    q10, median, q90 = (_quantile(ordered, q) for q in (0.10, 0.50, 0.90))
+    return StatSummary(float(np.mean(values)), q10, median, q90)
 
 
 def aggregate_stats(summaries, n: int) -> AggregateStats:
@@ -273,24 +291,25 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     summaries = [s for s, _ in results]
     traces = [t for _, t in results]
 
-    manifest = RunManifest(
-        engine_version=engine_version(),
-        engine=_engine(config).name,
-        master_seed=config.seed,
-        replications=config.replications,
-        derived_seeds=[derive_seed(config.seed, r) for r in range(config.replications)],
-        config_text=serialize_config(config),
-        started_at=started_at,
-        wall_seconds=0.0,
-    )
-
-    manifest.wall_seconds = time.perf_counter() - t0
     if config.out_dir is not None:
         digits = max(4, len(str(config.replications - 1)))
         for summary, trace in results:
             name = f"trace_{summary.replicate:0{digits}d}.csv"
             write_trace_csv(trace, os.path.join(config.out_dir, name))
         write_summary_csv(summaries, os.path.join(config.out_dir, "summary.csv"))
+
+    # built after the CSVs are written, so wall_seconds covers their cost
+    manifest = RunManifest(
+        engine_version=engine_version(),
+        engine=_engine(config).name,
+        master_seed=config.seed,
+        replications=config.replications,
+        derived_seeds=[s.seed for s in summaries],
+        config_text=serialize_config(config),
+        started_at=started_at,
+        wall_seconds=time.perf_counter() - t0,
+    )
+    if config.out_dir is not None:
         with open(
             os.path.join(config.out_dir, "manifest.json"), "w", encoding="utf-8", newline=""
         ) as fh:

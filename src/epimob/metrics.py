@@ -69,15 +69,14 @@ class TraceBuilder:
 
     def record(self, report, counts) -> None:
         """Append one completed step's report plus the resulting counts."""
-        by_group = np.asarray(report.new_infections_by_group)
+        by_group = np.asarray(report.new_infections_by_group).tolist()
+        width = self._num_groups
         # column 0 is band 0, unreachable for weights >= 2
         if by_group[0] != 0:
             raise ValueError("new infections reported in band 0")
-        bands = by_group[1:]
-        if bands.size > self._num_groups and bands[self._num_groups :].any():
+        if any(by_group[width + 1 :]):
             raise ValueError("new infections beyond the trace's band width")
-        padded = np.zeros(self._num_groups, dtype=np.int64)
-        padded[: min(bands.size, self._num_groups)] = bands[: self._num_groups]
+        bands = by_group[1 : width + 1]
         u, i, r = counts
         self._rows.append(
             (
@@ -86,7 +85,7 @@ class TraceBuilder:
                 u,
                 r,
                 report.new_infections_total,
-                tuple(int(x) for x in padded),
+                (*bands, *(0,) * (width - len(bands))),
                 report.newly_recovered,
             )
         )
@@ -99,16 +98,9 @@ class TraceBuilder:
     def finalize(
         self, extinction_step: Optional[int], cap_reached: bool
     ) -> SimulationTrace:
-        rows = self._rows
-        steps = np.array([r[0] for r in rows], dtype=np.int64)
+        # a row holds SimulationTrace's first seven fields, in order
         return SimulationTrace(
-            steps=steps,
-            infected=np.array([r[1] for r in rows], dtype=np.int64),
-            uninfected=np.array([r[2] for r in rows], dtype=np.int64),
-            recovered=np.array([r[3] for r in rows], dtype=np.int64),
-            new_total=np.array([r[4] for r in rows], dtype=np.int64),
-            new_by_group=np.array([r[5] for r in rows], dtype=np.int64),
-            newly_recovered=np.array([r[6] for r in rows], dtype=np.int64),
+            *(np.array(column, dtype=np.int64) for column in zip(*self._rows)),
             extinction_step=extinction_step,
             cap_reached=cap_reached,
             cell_log=np.array(self._cell_rows) if self._cell_rows else None,

@@ -90,6 +90,34 @@ def test_params_validation():
     assert EpidemicParams(**{**good, "n": np.int64(10_000)}).num_cells == 10_000
 
 
+@pytest.mark.parametrize(
+    "n, kappa, alpha",
+    [
+        (100, 1e308, 2.8),  # round(kappa * n) overflowed int()
+        (100, 1e200, 2.8),  # the cutoff walked down from m ~ 1.5e72 one step at a time
+        (4 * 10**18, 1.0, 2.8),  # the int64 total weight wrapped negative
+        (2**62, 1.0, 60.0),  # m = 2, so W could reach K * m = 2**63
+    ],
+)
+def test_params_reject_grids_too_large_for_int64(n, kappa, alpha):
+    with pytest.raises(ConfigError, match="grid too large"):
+        EpidemicParams(n=n, alpha=alpha, kappa=kappa, tau=2)
+
+
+def test_params_reject_a_population_of_2_to_the_63():
+    with pytest.raises(ConfigError, match="n must be a positive integer below 2\\*\\*63"):
+        EpidemicParams(n=2**63, alpha=2.8, kappa=1e-12, tau=2)
+
+
+def test_largest_grid_weight_fits_int64():
+    # K = 2**62 - 2**10 cells of weight 2: W = 2**63 - 2**11, just inside the bound
+    params = EpidemicParams(n=2**62 - 2**10, alpha=60.0, kappa=1.0, tau=2)
+    grid = build_grid(params, substream(0, 0, 0))
+    assert grid.max_attractiveness == 2
+    assert grid.total_weight == 2 * params.num_cells == 2**63 - 2**11
+    assert grid.pick.tolist() == [1.0]
+
+
 def test_params_rejects_empty_attractiveness_support():
     # floor(7 ** (1/3)) = 1 < 2: no admissible weight exists
     with pytest.raises(ConfigError, match="support"):

@@ -233,6 +233,25 @@ def test_validate_reports_line_numbers(tmp_path, capsys):
     assert "config error:" in err and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "100", "--kappa", "1e308"],
+        ["run", "--n", "100", "--kappa", "1e200"],
+        ["run", "--n", "100", "--trigger", "time:2->kappa=1e308"],
+        ["oracle", "--n", "100", "--kappa", "1e308"],
+        ["validate", "CONFIG"],
+    ],
+)
+def test_grids_too_large_for_int64_are_config_errors(tmp_path, capsys, argv):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n=100\nkappa=1e308\n")
+    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid too large") and "Traceback" not in err
+
+
 def test_validate_missing_file_is_an_io_error(tmp_path, capsys):
     assert cli_main(["validate", str(tmp_path / "nope.cfg")]) == 3
     assert "io error:" in capsys.readouterr().err

@@ -4,9 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import epimob
 from epimob import (
@@ -28,8 +32,9 @@ from epimob import (
     run_replications,
     serialize_config,
 )
+from epimob import harness
 from epimob import rng as rng_module
-from epimob.harness import _group_width
+from epimob.harness import _group_width, _stat_summary
 from epimob.rng import ROLE_GRID, ROLE_INIT, ROLE_MOVEMENT, ROLE_TRANSMISSION, substream
 
 
@@ -116,6 +121,23 @@ def test_aggregate_stats_with_no_extinctions():
     agg = aggregate_stats([ReplicateSummary(0, 1, None, 100, 0)], n=100)
     assert agg.extinct_count == 0 and agg.cap_count == 1
     assert math.isnan(agg.extinction_time.mean)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-(2**53), 2**53), max_size=300),
+        st.integers(1, 10**12).flatmap(
+            lambda n: st.lists(st.integers(0, n).map(lambda s: s / n), max_size=300)
+        ),
+    )
+)
+def test_stat_summary_is_numpy_bit_for_bit(values):
+    stats = _stat_summary(values)
+    if not values:
+        assert all(math.isnan(x) for x in (stats.mean, stats.q10, stats.median, stats.q90))
+        return
+    assert [stats.q10, stats.median, stats.q90] == np.quantile(values, [0.1, 0.5, 0.9]).tolist()
+    assert stats.mean == np.mean(values)
 
 
 def test_group_width_covers_the_whole_overlay_chain():
@@ -310,3 +332,42 @@ def test_run_replications_aggregate_is_consistent():
     assert agg.extinct_count + agg.cap_count == 5
     fractions = [s.survivors / 500 for s in result.summaries]
     assert agg.survivor_fraction.mean == pytest.approx(float(np.mean(fractions)))
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="only forked workers inherit the spy",
+        )),
+    ],
+)
+def test_each_replicate_derives_its_seed_once(tmp_path, monkeypatch, workers):
+    # forked pool workers inherit the spy and append to the same file
+    calls = tmp_path / "calls"
+
+    def spy(master_seed, replicate):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{replicate}\n")
+        return derive_seed(master_seed, replicate)
+
+    monkeypatch.setattr(harness, "derive_seed", spy)
+    result = run_replications(small_config(seed=9, replications=3), workers=workers)
+    assert sorted(calls.read_text().split()) == ["0", "1", "2"]
+    seeds = [s.seed for s in result.summaries]
+    assert result.manifest.derived_seeds == seeds == [derive_seed(9, r) for r in range(3)]
+
+
+def test_wall_seconds_covers_the_csv_files(tmp_path, monkeypatch):
+    def slow_summary_csv(summaries, path):
+        time.sleep(0.2)
+        write_summary_csv(summaries, path)
+
+    write_summary_csv = harness.write_summary_csv
+    monkeypatch.setattr(harness, "write_summary_csv", slow_summary_csv)
+    result = run_replications(small_config(seed=9, out_dir=str(tmp_path)))
+    assert result.manifest.wall_seconds >= 0.2
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert written["wall_seconds"] == result.manifest.wall_seconds
