@@ -165,6 +165,11 @@ class EpidemicParams:
     def max_attractiveness(self) -> int:
         return attractiveness_cutoff(self.n, self.kappa, self.alpha)
 
+    @property
+    def max_band(self) -> int:
+        """Band of max_attractiveness, the highest band a grid of these params can hold."""
+        return self.max_attractiveness.bit_length() - 1
+
 
 def power_law_pmf(alpha: float, max_attr: int) -> np.ndarray:
     """Probability table for attractiveness values 2..max_attr.

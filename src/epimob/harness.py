@@ -2,11 +2,14 @@
 
 Each replicate r of a run with master seed s draws only from four random
 streams derived purely from (s, r): grid, init, movement, transmission.
-The count-level engine runs by default and the per-node engine when
-log_cells is set; both draw from these streams.  Replicates
-therefore produce identical bytes whether they run serially or spread over
-worker processes, and the manifest (config text plus master seed) fully
-determines every output byte except wall-clock metadata.
+run_replicate is one loop over either engine's state and step function:
+the count-level engine by default, the per-node engine when log_cells is
+set.  Replicates therefore produce identical bytes whether they run
+serially or spread over worker processes, and the manifest (config text
+plus master seed) fully determines every output byte except wall-clock
+metadata.  The loop calls build_grid, init_population, step,
+apply_intervention and the CSV writers through this module's globals, so
+they can be rebound from outside, for example to trace each layer.
 """
 
 from __future__ import annotations
@@ -23,16 +26,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .attractiveness import EpidemicParams, build_grid
-from .dynamics import (
-    INFECTED,
-    CountState,
-    StatusCounts,
-    StepReport,
-    count_step,
-    init_population,
-    step,
-)
+from .attractiveness import build_grid
+from .dynamics import INFECTED, CountState, count_step, init_population, step
 from .errors import ConfigError
 from .metrics import (
     ReplicateSummary,
@@ -42,13 +37,7 @@ from .metrics import (
     write_trace_csv,
 )
 from .rng import ReplicateStreams, derive_seed
-from .scenario import (
-    InterventionSchedule,
-    ParamOverlay,
-    ScenarioConfig,
-    apply_intervention,
-    serialize_config,
-)
+from .scenario import ScenarioConfig, apply_intervention, serialize_config
 
 
 def engine_version() -> str:
@@ -148,97 +137,46 @@ def aggregate_stats(summaries, n: int) -> AggregateStats:
     )
 
 
-def _group_width(params: EpidemicParams, schedule: InterventionSchedule) -> int:
-    """Band columns needed to cover every grid the run can see.
-
-    Overlays apply cumulatively in schedule order, so the width is the
-    maximum over the whole parameter chain.
-    """
-    width = int(params.max_attractiveness).bit_length() - 1
-    current = params
-    for trig in schedule:
-        current = trig.overlay.merge(current)
-        width = max(width, int(current.max_attractiveness).bit_length() - 1)
-    return width
-
-
-class _NodeEngine:
-    """Per-node reference engine (dynamics.step); runs when log_cells is set.
-
-    Places all n nodes every step and records each step's cells and
-    infectious mask in the trace.
-    """
-
-    name = "per-node"
-
-    def __init__(self, params: EpidemicParams, streams: ReplicateStreams, builder: TraceBuilder) -> None:
-        self.params = params
-        self.streams = streams
-        self.builder = builder
-        self.grid = build_grid(params, streams.grid)
-        self.state = init_population(params, streams.init)
-
-    def advance(self) -> StepReport:
-        was_infectious = self.state.status == INFECTED
-        report = step(self.state, self.grid, self.params, self.streams)
-        self.builder.record_logs(self.state.current_cell.copy(), was_infectious)
-        return report
-
-    def apply(self, overlay: ParamOverlay) -> None:
-        self.params, self.grid = apply_intervention(self.state, self.params, overlay, self.streams.grid)
-
-
-class _CountEngine:
-    """Count-level engine (dynamics.count_step), equal in law to the per-node one.
-
-    Holds only counts and the grid's class tables, nothing of size n or K.
-    """
-
-    name = "count"
-
-    def __init__(self, params: EpidemicParams, streams: ReplicateStreams, builder: TraceBuilder) -> None:
-        self.params = params
-        self.streams = streams
-        self.grid = build_grid(params, streams.grid)
-        self.state = CountState.initial(params)  # no cells to log: builder is unused
-
-    def advance(self) -> StepReport:
-        return count_step(self.state, self.grid, self.params, self.streams)
-
-    apply = _NodeEngine.apply
-
-
-def _engine(config: ScenarioConfig):
-    """The engine class a run uses: per-node when cells are logged, else count-level."""
-    return _NodeEngine if config.log_cells else _CountEngine
-
-
 def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSummary, SimulationTrace]:
     """Run one replicate to extinction or the step cap.
 
-    Triggers are evaluated at step 0 and after every completed step; each
-    fires at most once, swapping in merged params and a fresh grid.
+    The count-level engine (count_step on a CountState) runs by default; with
+    log_cells the per-node one (step on init_population's state) runs and
+    each step's cells and infectious mask go into the trace.  Triggers are
+    evaluated at step 0 and after every completed step; each fires at most
+    once, merging its overlay onto the params then in effect and drawing a
+    fresh grid (apply_intervention).  So overlays apply in firing order,
+    which need not be list order when time and prevalence triggers
+    interleave; the trace starts config.band_width bands wide and widens
+    when such an order reaches a higher band.
     """
     streams = ReplicateStreams.from_seed(config.seed, replicate)
     params = config.params
-    builder = TraceBuilder(
-        StatusCounts(params.n - params.initial_infected, params.initial_infected, 0),
-        _group_width(params, config.schedule),
-    )
-    engine = _engine(config)(params, streams, builder)
-    state = engine.state
-    fired: list = [None] * len(config.schedule)
+    grid = build_grid(params, streams.grid)
+    log_cells = config.log_cells
+    if log_cells:
+        state, advance = init_population(params, streams.init), step
+    else:
+        state, advance = CountState.initial(params), count_step
     counts = state.counts()
+    builder = TraceBuilder(counts, config.band_width)
+    fired: list = [None] * len(config.schedule)
 
     def fire_due() -> None:
+        nonlocal params, grid
         for idx, trig in enumerate(config.schedule):
             if fired[idx] is None and trig.condition.met(state.step, counts.infected, params.n):
-                engine.apply(trig.overlay)
+                params, grid = apply_intervention(state, params, trig.overlay, streams.grid)
+                builder.widen(params.max_band)
                 fired[idx] = state.step
 
     fire_due()
     while counts.infected > 0 and state.step < params.max_steps:
-        report = engine.advance()
+        if log_cells:
+            was_infectious = state.status == INFECTED
+        report = advance(state, grid, params, streams)
+        if log_cells:
+            builder.record_logs(state.current_cell.copy(), was_infectious)
         counts = state.counts()
         builder.record(report, counts)
         fire_due()
@@ -301,7 +239,7 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     # built after the CSVs are written, so wall_seconds covers their cost
     manifest = RunManifest(
         engine_version=engine_version(),
-        engine=_engine(config).name,
+        engine="per-node" if config.log_cells else "count",
         master_seed=config.seed,
         replications=config.replications,
         derived_seeds=[s.seed for s in summaries],

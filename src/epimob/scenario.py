@@ -151,7 +151,10 @@ class InterventionSchedule:
 class ScenarioConfig:
     """Everything one invocation needs: params, schedule, seeding, outputs.
 
-    Each field but params and schedule must pass its RUN_FIELDS row.
+    Each field but params and schedule must pass its RUN_FIELDS row.  The
+    schedule's overlays are merged onto params in list order, which checks
+    every grid of that chain; band_width, the highest band any of its grids
+    can hold, is the number of band columns a trace starts with.
     """
 
     params: EpidemicParams
@@ -160,12 +163,19 @@ class ScenarioConfig:
     replications: int = 1
     out_dir: Optional[str] = None
     log_cells: bool = False
+    band_width: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for f in RUN_FIELDS:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 f.check(value)
+        params = self.params
+        width = params.max_band
+        for trig in self.schedule:
+            params = trig.overlay.merge(params)
+            width = max(width, params.max_band)
+        object.__setattr__(self, "band_width", width)
 
 
 def preset_emerging(n: int) -> ScenarioConfig:

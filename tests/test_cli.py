@@ -241,12 +241,17 @@ def test_validate_reports_line_numbers(tmp_path, capsys):
         ["run", "--n", "100", "--trigger", "time:2->kappa=1e308"],
         ["oracle", "--n", "100", "--kappa", "1e308"],
         ["validate", "CONFIG"],
+        ["validate", "TRIGGER_CONFIG"],
     ],
 )
 def test_grids_too_large_for_int64_are_config_errors(tmp_path, capsys, argv):
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("n=100\nkappa=1e308\n")
-    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+    files = {
+        "CONFIG": "n=100\nkappa=1e308\n",
+        "TRIGGER_CONFIG": "n=100\ntrigger=time:2->kappa=1e308\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: grid too large") and "Traceback" not in err

@@ -34,7 +34,7 @@ from epimob import (
 )
 from epimob import harness
 from epimob import rng as rng_module
-from epimob.harness import _group_width, _stat_summary
+from epimob.harness import _stat_summary
 from epimob.rng import ROLE_GRID, ROLE_INIT, ROLE_MOVEMENT, ROLE_TRANSMISSION, substream
 
 
@@ -140,16 +140,6 @@ def test_stat_summary_is_numpy_bit_for_bit(values):
     assert stats.mean == np.mean(values)
 
 
-def test_group_width_covers_the_whole_overlay_chain():
-    narrow = preset_emerging(10_000).params  # max attractiveness 26, band 4
-    assert _group_width(narrow, InterventionSchedule()) == 4
-    wide_later = InterventionSchedule(
-        (Trigger(TimeReached(5), ParamOverlay(alpha=2.2)),)
-    )
-    # alpha 2.2 stretches the support far beyond 26
-    assert _group_width(narrow, wide_later) > 4
-
-
 def test_beta_zero_run_is_fully_predictable():
     config = small_config(n=200, beta=0.0, tau=3, initial_infected=5)
     summary, trace = run_replicate(config, 0)
@@ -242,6 +232,61 @@ def test_default_run_writes_pinned_bytes(tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
     }
     assert digests == DEFAULT_RUN_DIGESTS
+
+
+# sha256 of the files a per-node (log_cells) run writes, with and without the
+# 2% awareness trigger, as engine_version 0.7.0 wrote them
+LOGGED_RUN_DIGESTS = {
+    "plain": {
+        "summary.csv": "ffbc62619042d3487677e2d3174c2ebd74edab6039f6407c93d2e20b7a3cad49",
+        "trace_0000.csv": "8172a301bb3c03d1c15463165965c6970f766f7fbb87d7520f48e4971ecf4001",
+        "trace_0001.csv": "6ae195affb051b033f59fd282569b632ac66f783d7144acef0b8c97c1f6f1b96",
+        "trace_0002.csv": "144b14611cfec53e4b0737c52820c1aab40bb06231d8c38f056697a6ea58692b",
+    },
+    "awareness": {
+        "summary.csv": "c32041d323eb8bd1d0fb31a5d149db8a24a66cd9ea6c15ae716b3b40375a8a06",
+        "trace_0000.csv": "4b6e929d408a00567478f034f750b43d033e734cb86503cf5f9639d41c06655c",
+        "trace_0001.csv": "fd6fd9328bd515cd391c2e566ad0b4a5dc28eb86e9d2d021a9cb5c317ff3b21c",
+        "trace_0002.csv": "894e0ac6431b9745d2cefe42b91711b2ff7bd36f2fe4621363f517bd81440c9b",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOGGED_RUN_DIGESTS))
+def test_logged_run_writes_pinned_bytes(tmp_path, case):
+    aware = Trigger(PrevalenceReached(0.02), ParamOverlay(alpha=6.0, kappa=16.0, tau=2))
+    schedule = InterventionSchedule((aware,) if case == "awareness" else ())
+    config = dataclasses.replace(
+        preset_emerging(5_000), seed=8, replications=3, log_cells=True,
+        schedule=schedule, out_dir=str(tmp_path),
+    )
+    run_replications(config)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
+    }
+    assert digests == LOGGED_RUN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("log_cells", [False, True])
+def test_triggers_firing_out_of_list_order_widen_the_trace(log_cells):
+    # the time trigger fires first, so the run reaches alpha 2.05 at kappa 3
+    # (band 7), a grid the list-order chain (band 6 at most) never builds;
+    # 50 initial cases make the outbreak reach 5% prevalence
+    config = parse_config(
+        "n=10000\ntau=3\ninitial_infected=50\n"
+        "trigger=prevalence:0.05->alpha=2.05\n"
+        "trigger=time:1->alpha=2.5,kappa=3\n"
+    )
+    config = dataclasses.replace(config, log_cells=log_cells)
+    assert config.band_width == 6
+    summary, trace = run_replicate(config, 0)
+    prevalence_step, time_step = summary.fired_steps
+    assert time_step == 1 and prevalence_step > time_step
+    assert trace.new_by_group.shape == (trace.steps.size, 7)
+    np.testing.assert_array_equal(trace.new_by_group.sum(axis=1), trace.new_total)
+    # band 7 gets cases only once both overlays are in effect
+    assert trace.new_by_group[: prevalence_step + 1, 6].sum() == 0
+    assert trace.new_by_group[:, 6].sum() > 0
 
 
 def test_manifest_reproduces_the_config():

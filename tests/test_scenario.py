@@ -113,6 +113,28 @@ def test_overlay_merge_revalidates_cross_field_invariants():
         ParamOverlay(alpha=50.0).merge(params)
 
 
+def test_band_width_covers_the_whole_overlay_chain():
+    narrow = preset_emerging(10_000)  # max attractiveness 26, band 4
+    assert narrow.band_width == 4
+    wide_later = InterventionSchedule(
+        (Trigger(TimeReached(5), ParamOverlay(alpha=2.2)),)
+    )
+    # alpha 2.2 stretches the support far beyond 26
+    assert dataclasses.replace(narrow, schedule=wide_later).band_width > 4
+
+
+def test_config_checks_every_grid_of_the_overlay_chain():
+    params = EpidemicParams(n=100, alpha=2.8, kappa=1.0, tau=1)
+    fine = Trigger(TimeReached(2), ParamOverlay(alpha=3.0))
+    # alpha 50 on n = 100 leaves an empty attractiveness support
+    empty = Trigger(TimeReached(4), ParamOverlay(alpha=50.0))
+    ScenarioConfig(params=params, schedule=InterventionSchedule((fine,)))
+    with pytest.raises(ConfigError, match="support"):
+        ScenarioConfig(params=params, schedule=InterventionSchedule((fine, empty)))
+    with pytest.raises(ConfigError, match="support"):
+        parse_config("n=100\ntrigger=time:2->alpha=3.0\ntrigger=time:4->alpha=50\n")
+
+
 def test_schedule_orders_within_condition_kind():
     t = lambda s: Trigger(TimeReached(s), ParamOverlay(tau=1))
     p = lambda f: Trigger(PrevalenceReached(f), ParamOverlay(tau=1))
