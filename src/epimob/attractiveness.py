@@ -1,4 +1,4 @@
-"""Cell grid with power-law attractiveness and O(log m) location choice.
+"""Cell grid with power-law attractiveness and table-driven location choice.
 
 The population moves over K = round(kappa * n) cells.  Each cell v carries an
 integer attractiveness d_v drawn from a truncated power law: support
@@ -10,10 +10,13 @@ Sampling a cell must not cost O(K) per draw, so a CellGrid is its class
 histogram: the distinct weights in increasing order and the number of cells
 at each, with cells numbered in class order.  A draw is one exact integer x
 uniform on [0, W): class c owns the v_c * n_c integers from the total weight
-of the classes before it, and each of its cells owns v_c of them, so a binary
-search over the m class boundaries and one division find the cell.  Per-cell
-views are built on first use, so the count-level engine, which reads only
-the class tables, never holds anything of length K.
+of the classes before it, and each of its cells owns v_c of them, so finding
+x's class and one division find the cell.  The class comes from a table of
+power-of-two buckets of [0, W), about BUCKETS_PER_CLASS a class (the indexed
+search of Chen and Asau, 1974), and a binary search over the m class
+boundaries settles only the draws in a bucket that straddles two classes.
+Per-cell views and the table are built on first use, so the count-level
+engine, which reads only the class tables, never holds anything of length K.
 
 build_grid draws the histogram as Multinomial(K, power-law pmf) in O(m).
 CellGrid.from_weights counts the distinct values of explicit weights, so
@@ -217,6 +220,32 @@ class Pieces(NamedTuple):
     block_first: np.ndarray
 
 
+# choose_cells finds a draw's class in a table of power-of-two buckets of
+# [0, W): BUCKETS_PER_CLASS * m rounded up to a power of two, and so fewer
+# than 2 * BUCKETS_PER_CLASS * m of them.  On a 2-vCPU x86-64 host a table
+# took 17-62 us to build (about a dozen numpy calls; m = 6 to 717) and saved
+# 8-28 ns a draw against the binary search (m = 6 to 137), so it pays only
+# from about TABLE_DRAWS draws.
+BUCKETS_PER_CLASS = 16
+TABLE_DRAWS = 2**10
+
+
+class Buckets(NamedTuple):
+    """[0, W) cut into CellGrid.num_buckets buckets of 2**bucket_shift integers.
+
+    A draw x lies in bucket x >> bucket_shift.  A bucket straddles a class
+    boundary when its first and last integers are of different classes.
+    Otherwise all its integers are of one class c, and base and value hold
+    base[c] and v_c, so x lands on cell (x + base) // value; a straddling
+    bucket holds 0 and 1 there instead, which maps x to x until its class is
+    searched for.
+    """
+
+    base: np.ndarray
+    value: np.ndarray
+    straddles: np.ndarray
+
+
 @dataclass(eq=False)
 class CellGrid:
     """A grid as its class histogram, plus the tables both engines reuse.
@@ -229,11 +258,14 @@ class CellGrid:
     total_weight W; pick[c] = v_c * n_c / W, the chance that a node picks
     class c; band[c] = floor(log2(v_c)); num_bands, the band columns of a
     StepReport; start[c], where class c begins; weight_start[c], the total
-    weight of the classes before c.
+    weight of the classes before c; base[c] = start[c] * v_c - weight_start[c],
+    so the integer x of class c belongs to cell (x + base[c]) // v_c;
+    bucket_shift and num_buckets, the shape of choose_cells' table.
 
     Built on first use, so the count-level engine never holds anything of
     length K: per cell, attractiveness and cell_group (int16 band); pieces,
-    for dense count steps.
+    for dense count steps; for choose_cells, buckets, or cell_of, the cell
+    of every integer of [0, W) when each bucket is one integer.
     """
 
     values: np.ndarray
@@ -248,6 +280,9 @@ class CellGrid:
     num_bands: int = field(init=False)
     start: np.ndarray = field(init=False, repr=False)
     weight_start: np.ndarray = field(init=False, repr=False)
+    base: np.ndarray = field(init=False, repr=False)
+    bucket_shift: int = field(init=False)
+    num_buckets: int = field(init=False)
 
     def __post_init__(self) -> None:
         values = self.values = np.asarray(self.values, dtype=np.int64)
@@ -268,6 +303,11 @@ class CellGrid:
         self.num_bands = int(values[-1]).bit_length()
         self.start = cells_end - sizes
         self.weight_start = weight_end - weight
+        # below 2**63: start * v < K * max_attractiveness, checked by EpidemicParams
+        self.base = self.start * values - self.weight_start
+        bits = (BUCKETS_PER_CLASS * values.size - 1).bit_length()
+        self.bucket_shift = max((self.total_weight - 1).bit_length() - bits, 0)
+        self.num_buckets = ((self.total_weight - 1) >> self.bucket_shift) + 1
 
     @classmethod
     def from_weights(cls, weights, alpha: float | None = None) -> "CellGrid":
@@ -315,6 +355,25 @@ class CellGrid:
             block_first=np.flatnonzero(np.diff(block, prepend=-1)),
         )
 
+    @cached_property
+    def buckets(self) -> Buckets:
+        shift = self.bucket_shift
+        # class c starts in bucket weight_start[c] >> shift, and makes it
+        # straddle unless it starts at the bucket's first integer; every
+        # bucket that does not straddle lies inside the last class starting
+        # at or before it
+        counts = np.diff(self.weight_start >> shift, append=self.num_buckets)
+        straddles = np.zeros(self.num_buckets, dtype=bool)
+        straddles[self.weight_start[(self.weight_start & ((1 << shift) - 1)) != 0] >> shift] = True
+        base, value = np.repeat(self.base, counts), np.repeat(self.values, counts)
+        base[straddles] = 0
+        value[straddles] = 1
+        return Buckets(base, value, straddles)
+
+    @cached_property
+    def cell_of(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_cells, dtype=np.int64), self.attractiveness)
+
     def choice_probabilities(self) -> np.ndarray:
         """Exact per-cell choice probabilities d_v / W (sums to 1)."""
         return self.attractiveness / self.total_weight
@@ -348,9 +407,35 @@ def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndar
 
     Exact in law: each draw is one integer x uniform on [0, W).  Class c
     owns the v_c * n_c integers from weight_start[c], and each of its cells
-    owns v_c of them in turn.
+    owns v_c of them in turn, so x of class c lands on cell
+    start[c] + (x - weight_start[c]) // v_c = (x + base[c]) // v_c.
+
+    The class of most draws needs no search.  When W <= num_buckets every
+    bucket is one integer, and grid.cell_of gives the cell of x directly.
+    Otherwise, in a bucket of grid.buckets that does not straddle a class
+    boundary, every integer is of the bucket's one class; only the draws in
+    a straddling bucket are binary searched over the class boundaries.  The
+    bucket table costs O(num_buckets) to build, so a call with fewer draws
+    than it has buckets, or than TABLE_DRAWS, binary searches all of them
+    instead and builds nothing.  A direct table holds fewer than 2 *
+    BUCKETS_PER_CLASS * m cells and is used at every size.  All paths give
+    each x the same cell.
     """
     x = rng.integers(0, grid.total_weight, size)
-    c = grid.weight_start.searchsorted(x, side="right") - 1
-    return grid.start[c] + (x - grid.weight_start[c]) // grid.values[c]
-
+    shift = grid.bucket_shift
+    if not shift:
+        return grid.cell_of[x]
+    if size < max(grid.num_buckets, TABLE_DRAWS):
+        c = grid.weight_start.searchsorted(x, side="right") - 1
+        x += grid.base[c]
+        x //= grid.values[c]
+        return x
+    table = grid.buckets
+    b = x >> shift
+    straddle = table.straddles.take(b).nonzero()[0]
+    xs = x[straddle]
+    c = grid.weight_start.searchsorted(xs, side="right") - 1
+    x += table.base.take(b)
+    x //= table.value.take(b)
+    x[straddle] = (xs + grid.base[c]) // grid.values[c]
+    return x

@@ -125,17 +125,6 @@ def substep_move(state: PopulationState, grid: CellGrid, rng: np.random.Generato
     return state.current_cell
 
 
-def _exposures(
-    cells: np.ndarray,
-    infectious_idx: np.ndarray,
-    target_idx: np.ndarray,
-    num_cells: int,
-) -> np.ndarray:
-    """Count infectious cellmates per target node, by a bincount over cells."""
-    occupancy = np.bincount(cells[infectious_idx], minlength=num_cells)
-    return occupancy[cells[target_idx]]
-
-
 def substep_transmit(
     state: PopulationState,
     grid: CellGrid,
@@ -147,20 +136,21 @@ def substep_transmit(
 
     Only nodes that entered the step already infected transmit: `infected`
     is status == INFECTED before the call (step() passes the mask it shares
-    with substep_recover).  Below beta = 1 each exposed node draws one uniform.
+    with substep_recover).  A node's exposure m counts the infectious nodes
+    in its cell, by one bincount over the cells.  Below beta = 1 each exposed
+    uninfected node draws one uniform, in node order.
     """
     status = state.status
-    i_idx = (status == INFECTED if infected is None else infected).nonzero()[0]
-    u_idx = (status == UNINFECTED).nonzero()[0]
-    m = _exposures(state.current_cell, i_idx, u_idx, grid.num_cells)
-    hit = m > 0
-    newly = u_idx[hit]
+    cells = state.current_cell
+    if infected is None:
+        infected = status == INFECTED
+    m = np.bincount(cells[infected], minlength=grid.num_cells)[cells]
+    newly = np.logical_and(m, status == UNINFECTED).nonzero()[0]
     if params.beta < 1.0 and newly.size:
-        newly = newly[rng.random(newly.size) < _infection_probability(m[hit], params.beta)]
+        newly = newly[rng.random(newly.size) < _infection_probability(m[newly], params.beta)]
     if newly.size:
         status[newly] = INFECTED
         state.infected_at[newly] = state.step
-    # sorted already: masks of the ascending u_idx keep its order
     return newly
 
 
@@ -177,7 +167,8 @@ def substep_recover(
     if infected is None:
         infected = state.status == INFECTED
     done = (infected & (state.infected_at <= state.step - params.tau)).nonzero()[0]
-    state.status[done] = RECOVERED
+    if done.size:
+        state.status[done] = RECOVERED
     return done.size
 
 
@@ -209,9 +200,7 @@ def step(
     infected = state.status == INFECTED
     newly = substep_transmit(state, grid, params, transmit_rng, infected)
     retired = substep_recover(state, params, infected)
-    by_group = np.zeros(grid.num_bands, dtype=np.int64)
-    if newly.size:
-        by_group += np.bincount(grid.cell_group[state.current_cell[newly]], minlength=grid.num_bands)
+    by_group = np.bincount(grid.cell_group[state.current_cell[newly]], minlength=grid.num_bands)
     return StepReport(
         step=state.step,
         new_infections_total=newly.size,

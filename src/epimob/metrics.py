@@ -180,14 +180,13 @@ def causality_violations(
     ids; empty means every infection is explained by a co-located
     infectious node.
     """
-    bad = []
-    for node in np.flatnonzero(infected_at >= 1):
-        row = int(infected_at[node]) - 1
-        if row >= cell_log.shape[0]:
-            bad.append(node)
-            continue
-        cell = cell_log[row, node]
-        if not np.any(infectious_log[row] & (cell_log[row] == cell)):
-            bad.append(node)
-    return np.array(bad, dtype=np.int64)
-
+    infected_at = np.asarray(infected_at)
+    nodes = np.flatnonzero(infected_at >= 1)
+    rows = infected_at[nodes] - 1
+    explained = np.zeros(nodes.size, dtype=bool)
+    # one pass per log row that records infections; later rows stay unexplained
+    for row in np.unique(rows[rows < cell_log.shape[0]]).tolist():
+        at = np.flatnonzero(rows == row)
+        cells = cell_log[row]
+        explained[at] = np.isin(cells[nodes[at]], cells[infectious_log[row]])
+    return nodes[~explained].astype(np.int64)

@@ -1,5 +1,6 @@
-"""Grid construction and exact O(log m) cell choice."""
+"""Grid construction and exact cell choice, by table lookup or class search."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,10 @@ from epimob import (
     choose_cells,
     power_law_pmf,
 )
+from epimob import harness
+from epimob.attractiveness import TABLE_DRAWS
 from epimob.rng import substream
+from epimob.scenario import preset_emerging, preset_industrialized
 
 
 def test_pmf_single_point_support():
@@ -239,11 +243,34 @@ def test_grid_class_tables_match_unique_reference(weights, seed):
 
 
 class _EveryInteger:
-    """Stands in for a Generator: integers(0, W, W) yields each of 0..W-1 once."""
+    """Stands in for a Generator: integers(0, W, size) calls yield 0, 1, ..., W - 1, 0, 1, ... in turn."""
+
+    def __init__(self):
+        self.next = 0
 
     def integers(self, low, high, size):
-        assert low == 0 and size == high
-        return np.arange(high)
+        assert low == 0
+        self.next += size
+        return np.arange(self.next - size, self.next) % high
+
+
+def _check_buckets(grid):
+    # each bucket's straddle flag from the classes of its first and last
+    # integers, and the class entries of every bucket that does not straddle
+    low = np.arange(grid.num_buckets) << grid.bucket_shift
+    high = np.minimum(low + (1 << grid.bucket_shift) - 1, grid.total_weight - 1)
+    first = grid.weight_start.searchsorted(low, side="right") - 1
+    last = grid.weight_start.searchsorted(high, side="right") - 1
+    table = grid.buckets
+    np.testing.assert_array_equal(table.straddles, first != last)
+    inside = first == last
+    np.testing.assert_array_equal(table.base[inside], grid.base[first[inside]])
+    np.testing.assert_array_equal(table.value[inside], grid.values[first[inside]])
+    return last - first
+
+
+def _cached_tables(grid):
+    return {"buckets", "cell_of"} & set(vars(grid))
 
 
 @settings(max_examples=60)
@@ -255,11 +282,111 @@ class _EveryInteger:
     ),
 )
 def test_choose_cells_is_exact_in_law(weights):
-    # every integer in [0, W) drawn once lands d_v times on each cell v
+    # every integer in [0, W) drawn k times lands k * d_v times on each cell
+    # v, both in one call of at least TABLE_DRAWS draws (the table) and in
+    # calls of fewer draws than there are buckets (the class search, unless
+    # the table is direct)
     grid = CellGrid.from_weights(weights)
     np.testing.assert_array_equal(grid.attractiveness, np.sort(weights))
-    cells = choose_cells(grid, _EveryInteger(), grid.total_weight)
+    k = -(-TABLE_DRAWS // grid.total_weight)
+    cells = choose_cells(grid, _EveryInteger(), k * grid.total_weight)
+    np.testing.assert_array_equal(np.bincount(cells, minlength=grid.num_cells), k * grid.attractiveness)
+    if grid.bucket_shift == 0:
+        assert grid.cell_of.size == grid.num_buckets <= 32 * grid.values.size
+    else:
+        _check_buckets(grid)
+        assert grid.buckets.base.size == grid.num_buckets <= 32 * grid.values.size
+
+    grid = CellGrid.from_weights(weights)
+    every, chunk = _EveryInteger(), max(grid.num_buckets - 1, 1)
+    cells = np.concatenate(
+        [choose_cells(grid, every, min(chunk, grid.total_weight - x)) for x in range(0, grid.total_weight, chunk)]
+    )
     np.testing.assert_array_equal(np.bincount(cells, minlength=grid.num_cells), grid.attractiveness)
+    assert _cached_tables(grid) == ({"cell_of"} if grid.bucket_shift == 0 else set())
+
+
+def _searched_cells(grid, x):
+    c = grid.weight_start.searchsorted(x, side="right") - 1
+    return grid.start[c] + (x - grid.weight_start[c]) // grid.values[c]
+
+
+def _weights_totalling(total):
+    # one or two 3s and the rest 2s: two classes, so 32 buckets
+    threes = 1 if total % 2 else 2
+    return [3] * threes + [2] * ((total - 3 * threes) // 2)
+
+
+@pytest.mark.parametrize(
+    "weights, widest",
+    [
+        pytest.param([2, 3, 3, 5, 7, 8], 1, id="direct"),
+        pytest.param([2, 3, 4, 5, 6, 7, 8] + [9] * 300, 7, id="bucket-spans-7-classes"),
+        pytest.param([2] * 40 + [3] * 30 + [5] * 7 + [9] * 100 + [9000] * 3, 4, id="bucket-spans-4-classes"),
+        *(pytest.param(_weights_totalling(2**10 + d), 2, id=f"W=2**10{d:+d}") for d in (-1, 0, 1)),
+        pytest.param(list(range(2, 80)) * 30, 2, id="more-buckets-than-TABLE_DRAWS"),
+    ],
+)
+def test_choose_cells_matches_the_class_search(weights, widest):
+    grid = CellGrid.from_weights(weights)
+    m, total = grid.values.size, grid.total_weight
+    if grid.bucket_shift:
+        assert _check_buckets(grid).max() + 1 == widest
+        assert grid.num_buckets == ((total - 1) >> grid.bucket_shift) + 1 <= 32 * m
+    else:
+        assert widest == 1 and total <= grid.num_buckets
+    # the smallest call that uses a bucket table
+    gate = max(grid.num_buckets, TABLE_DRAWS)
+    for size in (0, 1, grid.num_buckets - 1, grid.num_buckets, gate - 1, gate, 3 * total + 5):
+        x = np.random.default_rng(size).integers(0, total, size)
+        cells = choose_cells(grid, np.random.default_rng(size), size)
+        assert cells.dtype == np.int64
+        np.testing.assert_array_equal(cells, _searched_cells(grid, x))
+    for size in (0, grid.num_buckets - 1, gate - 1, gate):
+        fresh = CellGrid.from_weights(weights)
+        choose_cells(fresh, np.random.default_rng(0), size)
+        if fresh.bucket_shift == 0:
+            assert _cached_tables(fresh) == {"cell_of"}
+        else:
+            assert _cached_tables(fresh) == ({"buckets"} if size == gate else set())
+
+
+def test_table_shape_at_powers_of_two():
+    # the bucket width doubles once W - 1 gains a bit; the last bucket may be short
+    shapes = [
+        (g.bucket_shift, g.num_buckets)
+        for g in (CellGrid.from_weights(_weights_totalling(2**10 + d)) for d in (-1, 0, 1))
+    ]
+    assert shapes == [(5, 32), (5, 32), (6, 17)]
+    assert CellGrid.from_weights(_weights_totalling(32)).bucket_shift == 0
+
+
+# sha256 of the cells that 10**6 draws at substream(7, 0, 2) pick on the
+# preset_emerging(10**6) grid built at substream(1, 0, 0) (137 classes, 3392
+# buckets), recorded before choose_cells had a bucket table
+EMERGING_1E6_CELLS = "11efafe60d064cab83cf8c829ffbdbb1fbbf464e2b8f5eda603f7542accb1aad"
+
+
+def test_bucket_path_draws_are_pinned():
+    grid = build_grid(preset_emerging(10**6).params, substream(1, 0, 0))
+    cells = choose_cells(grid, substream(7, 0, 2), 10**6)
+    assert "buckets" in vars(grid)
+    assert hashlib.sha256(cells.astype("<i8").tobytes()).hexdigest() == EMERGING_1E6_CELLS
+
+
+def test_short_count_replicates_build_no_table(monkeypatch):
+    # the industrialized preset's sorted count steps draw far fewer cells
+    # than its grid has buckets, so they never pay for the table
+    grids = []
+
+    def keep(params, rng):
+        grids.append(build_grid(params, rng))
+        return grids[-1]
+
+    monkeypatch.setattr(harness, "build_grid", keep)
+    harness.run_replicate(preset_industrialized(10**5), 0)
+    assert len(grids) == 1 and grids[0].num_buckets > 100
+    assert _cached_tables(grids[0]) == set()
 
 
 def test_choose_single_cell_grid():

@@ -25,7 +25,8 @@ from epimob import (
     substep_recover,
     substep_transmit,
 )
-from epimob.dynamics import _exposures, _infection_probability
+from epimob import dynamics
+from epimob.dynamics import _infection_probability
 from epimob.rng import substream
 
 def small_params(n, **kw):
@@ -169,18 +170,35 @@ def test_same_step_transmission_off_by_default():
 )
 @settings(max_examples=60)
 def test_exposure_counts_match_direct_count(num_cells, cells):
+    # substep_transmit hands each exposed uninfected node's count of
+    # infectious cellmates, in node order, to _infection_probability
     n = cells.draw(st.integers(1, 30))
-    assignment = np.array(
-        cells.draw(st.lists(st.integers(0, num_cells - 1), min_size=n, max_size=n))
+    assignment = cells.draw(st.lists(st.integers(0, num_cells - 1), min_size=n, max_size=n))
+    statuses = cells.draw(
+        st.lists(st.sampled_from([INFECTED, UNINFECTED, RECOVERED]), min_size=n, max_size=n)
     )
-    split = cells.draw(st.integers(0, n))
-    infectious = np.arange(split)
-    targets = np.arange(split, n)
-    got = _exposures(assignment, infectious, targets, num_cells)
-    want = [
-        sum(1 for i in infectious if assignment[i] == assignment[t]) for t in targets
-    ]
-    assert got.tolist() == want
+    infected_at = [NEVER_INFECTED if s == UNINFECTED else 0 for s in statuses]
+    state = make_state(statuses, infected_at, assignment, step_index=1)
+    want = {
+        t: sum(1 for i in range(n) if statuses[i] == INFECTED and assignment[i] == assignment[t])
+        for t in range(n)
+        if statuses[t] == UNINFECTED
+    }
+    exposed = [t for t, m in want.items() if m]
+    seen = []
+
+    def certain(hits, beta):
+        seen.append(hits.tolist())
+        return np.ones(hits.size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_infection_probability", certain)
+        newly = substep_transmit(
+            state, CellGrid.from_weights([2] * num_cells), small_params(n, beta=0.5), substream(1, 0, 2)
+        )
+    assert newly.tolist() == exposed
+    assert seen == ([[want[t] for t in exposed]] if exposed else [])
+    assert state.status[exposed].tolist() == [INFECTED] * len(exposed)
 
 
 def test_recover_timeline():
