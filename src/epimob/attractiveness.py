@@ -207,7 +207,8 @@ class Pieces(NamedTuple):
     order, so those of block b tile cells b * BLOCK_CELLS onwards.
 
     pick:        probability that a node picks piece p, v_c * length / W
-    offset:      first cell of piece p, counted from the start of its block
+    offset:      first cell of piece p, counted from the start of its block,
+                 as uint16
     mask:        length of piece p minus one, as uint16
     class_first: first piece of each class
     block_first: first piece of each block
@@ -349,7 +350,7 @@ class CellGrid:
         block = start // BLOCK_CELLS
         return Pieces(
             pick=self.values[cls] * length / self.total_weight,
-            offset=start - block * BLOCK_CELLS,
+            offset=(start - block * BLOCK_CELLS).astype(np.uint16),
             mask=(length - 1).astype(np.uint16),
             class_first=np.searchsorted(start, self.start),
             block_first=np.flatnonzero(np.diff(block, prepend=-1)),
@@ -402,13 +403,23 @@ def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:
     return CellGrid(*draw_class_counts(params, rng), params.max_attractiveness, params.alpha)
 
 
+def place(grid: CellGrid, x: np.ndarray, cls: np.ndarray) -> None:
+    """Turn integers x of [0, W), of classes cls, into their cells, in place.
+
+    Class c owns the v_c * n_c integers from weight_start[c], and each of
+    its cells owns v_c of them in turn, so x of class c lands on cell
+    start[c] + (x - weight_start[c]) // v_c = (x + base[c]) // v_c.
+    """
+    x += grid.base[cls]
+    x //= grid.values[cls]
+
+
 def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sample `size` cell ids, each independently with probability d_v / W.
 
-    Exact in law: each draw is one integer x uniform on [0, W).  Class c
-    owns the v_c * n_c integers from weight_start[c], and each of its cells
-    owns v_c of them in turn, so x of class c lands on cell
-    start[c] + (x - weight_start[c]) // v_c = (x + base[c]) // v_c.
+    Exact in law: each draw is one integer x uniform on [0, W), placed on
+    its cell by place.  x's class is the number of classes after the first
+    that start at or below it.
 
     The class of most draws needs no search.  When W <= num_buckets every
     bucket is one integer, and grid.cell_of gives the cell of x directly.
@@ -426,16 +437,14 @@ def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndar
     if not shift:
         return grid.cell_of[x]
     if size < max(grid.num_buckets, TABLE_DRAWS):
-        c = grid.weight_start.searchsorted(x, side="right") - 1
-        x += grid.base[c]
-        x //= grid.values[c]
+        place(grid, x, grid.weight_start[1:].searchsorted(x, side="right"))
         return x
     table = grid.buckets
     b = x >> shift
     straddle = table.straddles.take(b).nonzero()[0]
     xs = x[straddle]
-    c = grid.weight_start.searchsorted(xs, side="right") - 1
+    place(grid, xs, grid.weight_start[1:].searchsorted(xs, side="right"))
     x += table.base.take(b)
     x //= table.value.take(b)
-    x[straddle] = (xs + grid.base[c]) // grid.values[c]
+    x[straddle] = xs
     return x

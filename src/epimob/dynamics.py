@@ -29,15 +29,17 @@ count and the infection cohorts, keyed by infection step, so nothing it
 holds grows with n or K.
 
 A count step places its nodes one of two ways, chosen from |I| and K alone
-(_sparse_is_cheaper).  A small step draws each node's cell with
-choose_cells, the per-node engine's exact sampler, and collapses the cells
-by sorting, in O(|I| log |I| + m) time and O(|I|) memory, m being the number
+(_sparse_is_cheaper).  A small step draws what choose_cells, the per-node
+engine's exact sampler, draws: one integer of [0, W) a node.  It sorts
+them, so their cells come out sorted and each occupied cell's nodes form
+one run, in O(|I| log |I| + m) time and O(|I|) memory, m being the number
 of classes.  A large one cuts the cells into power-of-two pieces (see
 attractiveness.Pieces), draws how many nodes land on each piece with one
 multinomial, and then walks the occupied blocks of BLOCK_CELLS cells, one
 pass each: a node lands on cell offset + (lane & (length - 1)) of its
-piece, a lane being 16 uniform bits of a raw 64-bit word.  Masking a
-uniform lane to a power-of-two length is exactly uniform, so no draw is
+piece's block, a lane being 16 uniform bits of a raw 64-bit word, and the
+cell is computed in the lane's own 16 bits.  Masking a uniform lane to a
+power-of-two length is exactly uniform, so no draw is
 rejected, divided or clamped.  At beta = 1 the hit cells are marked in one
 block-sized buffer; below, they are counted per block.  It costs
 O(|I| + K) time but holds at most BLOCK_CELLS marks or counts,
@@ -260,23 +262,26 @@ def _class_exposure(
     """Place `infectious` nodes; per class, the sum over its cells of 1 - (1 - beta) ** m_v.
 
     Each node picks cell v with probability d_v / W.  A small step
-    (_sparse_is_cheaper) draws the cells with choose_cells and
-    _exposure_by_class collapses them by sorting.  Otherwise the nodes pick
-    a piece (probability v_c * length / W, see attractiveness.Pieces) and
-    _piece_exposure places them on its cells.  Both are the per-node law.
+    (_sparse_is_cheaper) is placed and collapsed by _sorted_exposure.
+    Otherwise the nodes pick a piece (probability v_c * length / W, see
+    attractiveness.Pieces) and _piece_exposure places them on its cells.
+    Both are the per-node law.
     """
     if _sparse_is_cheaper(grid, infectious):
-        return _exposure_by_class(choose_cells(grid, rng, infectious), grid, beta)
+        return _sorted_exposure(grid, infectious, beta, rng)
     pieces = grid.pieces
     counts = rng.multinomial(infectious, pieces.pick)
     return np.add.reduceat(_piece_exposure(pieces, counts, beta, rng), pieces.class_first)
 
 
 # A count step sorts while |I| < SORT_NODES + K // SORT_CELLS_PER_NODE and
-# goes piece by piece above.  Timed on a 2-vCPU x86-64 host, both paths cost
-# the same at about |I| = 9 900 on the 1e6-cell preset_emerging grid and
-# 345 000 on the 1e8-cell one; the rule switches at 10 884 and 784 322, at
-# 3 150 on a 1e4-cell grid and at 4 322 on the 1.6e5-cell awareness grid.
+# goes piece by piece above.  The rule switches at |I| = 10 884 on the
+# 1e6-cell preset_emerging grid and 784 322 on the 1e8-cell one, at 3 150 on
+# a 1e4-cell grid and at 4 322 on the 1.6e5-cell awareness grid.  Timed on a
+# 2-vCPU x86-64 host at beta = 1, with the pieces built, both paths cost the
+# same at about 15 000-20 000 nodes at K = 1e6 and 600 000-700 000 at
+# K = 1e8; below beta = 1 sorting stays cheaper longer (about 60 000 at
+# K = 1e6).  The rule stays where it is: moving it would move draws.
 SORT_NODES = 3 * 2**10
 SORT_CELLS_PER_NODE = 2**7
 
@@ -286,15 +291,45 @@ def _sparse_is_cheaper(grid: CellGrid, infectious: int) -> bool:
     return infectious < SORT_NODES + grid.num_cells // SORT_CELLS_PER_NODE
 
 
-def _exposure_by_class(cells: np.ndarray, grid: CellGrid, beta: float) -> np.ndarray:
-    """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v.
+def _sorted_exposure(
+    grid: CellGrid, infectious: int, beta: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v, for nodes placed by sorting.
 
-    m_v counts the entries of `cells` equal to v; sorting collapses them to
-    the occupied cells, so the cost is O(len(cells)), not O(K).
+    It draws what choose_cells draws, one integer x uniform on [0, W) a
+    node, and sorts x.  A class's integers come before the next class's
+    and each of its cells owns a run of them, so one search of sorted x
+    for the class starts gives every node's class, and the cells
+    (attractiveness.place) come out sorted too.  A cell is new where it
+    differs from the one before; at beta = 1 a class's sum is its number
+    of new cells, and below, m_v is the gap from one new cell to the next.
+    Each class adds its cells in increasing order, whatever order x was
+    drawn in, so its float sum depends only on the cells.
+    O(|I| log |I| + m) time, a few numbers a node, nothing of length K.
     """
-    occupied, hits = np.unique(cells, return_counts=True)
-    cls = np.searchsorted(grid.start, occupied, side="right") - 1
-    return np.bincount(cls, weights=_infection_probability(hits, beta), minlength=grid.values.size)
+    x = rng.integers(0, grid.total_weight, infectious)
+    x.sort()
+    begin = x.searchsorted(grid.weight_start)
+    # np.diff(begin, append=infectious) costs several microseconds more
+    held = np.empty_like(begin)
+    np.subtract(begin[1:], begin[:-1], out=held[:-1])
+    held[-1] = infectious - begin[-1]
+    cls = np.arange(held.size).repeat(held)
+    attractiveness.place(grid, x, cls)
+    # new[i]: node i is the first on its cell; new[|I|] closes the last run
+    new = np.empty(infectious + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:-1])
+    # each array is freed once used, so a step holds at most four a node
+    del x
+    if beta >= 1.0:
+        return np.bincount(cls[new[:-1]], minlength=held.size)
+    first = new.nonzero()[0]
+    del new
+    hits = first[1:] - first[:-1]
+    cls = cls[first[:-1]]
+    del first
+    return np.bincount(cls, weights=_infection_probability(hits, beta), minlength=held.size)
 
 
 def _piece_exposure(
@@ -324,8 +359,11 @@ def _piece_exposure(
         size = int(offset[-1] + mask[-1]) + 1
         hits = None
         for take in _chunks(counts[lo:hi], int(totals[b]), CHUNK_PLACEMENTS):
-            cells = offset.repeat(take)
-            cells += _lanes(rng, cells.size) & mask.repeat(take)
+            # below BLOCK_CELLS, so the cells fit the lanes' own 16 bits
+            lanes = mask.repeat(take)
+            lanes &= _lanes(rng, lanes.size)
+            lanes += offset.repeat(take)
+            cells = lanes.astype(np.intp)
             if marks is not None:
                 marks[cells] = True
             elif hits is None:

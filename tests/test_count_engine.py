@@ -31,7 +31,7 @@ from epimob import (
     run_replications,
 )
 from epimob import attractiveness, dynamics, harness
-from epimob.dynamics import _class_exposure, _exposure_by_class, _sparse_is_cheaper
+from epimob.dynamics import _class_exposure, _infection_probability, _sorted_exposure, _sparse_is_cheaper
 from epimob.rng import substream
 from epimob.scenario import preset_emerging, preset_industrialized
 
@@ -67,7 +67,7 @@ def _force_pieces(mp: pytest.MonkeyPatch, block: int, chunk: int) -> dict:
 
         mp.setattr(dynamics, name, counted)
 
-    spy("_exposure_by_class", "sorted")
+    spy("_sorted_exposure", "sorted")
     spy("_piece_exposure", "pieces")
     return calls
 
@@ -188,21 +188,48 @@ def test_count_step_band_width_follows_the_largest_drawn_weight():
     streams = ReplicateStreams.from_seed(2, 0)
     report = count_step(CountState(50, 0, {0: 10}), grid, params, streams)
     # the outcome and next draw of engine_version 0.7.0 at this seed; this
-    # step is sorted, its cells drawn by choose_cells
+    # step is sorted, drawing what choose_cells draws
     assert report.new_infections_by_group.tolist() == [0, 14, 18]
     assert streams.transmission.random() == 0.08578880394073785
 
 
+def _collapse_by_unique(cells: np.ndarray, grid: CellGrid, beta: float) -> np.ndarray:
+    """Per-class exposure of placed cells as engine_version 0.7.0 collapsed them."""
+    occupied, hits = np.unique(cells, return_counts=True)
+    cls = np.searchsorted(grid.start, occupied, side="right") - 1
+    return np.bincount(cls, weights=_infection_probability(hits, beta), minlength=grid.values.size)
+
+
+_SORTED_GRIDS = {
+    # W <= num_buckets: choose_cells reads grid.cell_of
+    "cell_of": (lambda: CellGrid.from_weights([2, 3, 3, 5, 8, 8, 8, 13] * 2), 500),
+    # fewer draws than TABLE_DRAWS: choose_cells binary searches every class
+    "searched": (lambda: build_grid(preset_industrialized(10**5).params, substream(6, 0, 0)), 30),
+    # at TABLE_DRAWS draws and more than num_buckets: the bucket table
+    "buckets": (lambda: build_grid(preset_industrialized(10**5).params, substream(6, 0, 0)), attractiveness.TABLE_DRAWS),
+    "emerging_1e6": (lambda: build_grid(preset_emerging(10**6).params, substream(6, 0, 0)), 10_000),
+    "emerging_1e8": (lambda: build_grid(preset_emerging(10**8).params, substream(6, 0, 0)), 100_000),
+}
+
+
 def test_sparse_step_places_nodes_with_choose_cells():
-    # |I| = 5000 on a 1e6-cell grid sorts: it consumes exactly the draws of
-    # choose_cells, so it follows the per-node engine's exact sampler
-    grid = build_grid(preset_emerging(10**6).params, substream(6, 0, 0))
-    assert _sparse_is_cheaper(grid, 5000)
-    step_rng, direct_rng = substream(6, 0, 2), substream(6, 0, 2)
-    got = _class_exposure(grid, 5000, 0.5, step_rng)
-    want = _exposure_by_class(choose_cells(grid, direct_rng, 5000), grid, 0.5)
-    np.testing.assert_array_equal(got, want)
-    assert step_rng.random() == direct_rng.random()
+    # a sorted step consumes exactly the draws of choose_cells, the per-node
+    # engine's exact sampler, and gives every class the very float that
+    # collapsing those cells with np.unique gave.  At beta = 0.5 every
+    # 1 - (1 - beta) ** h is a short binary fraction, so sums of them are
+    # exact in any order; beta = 0.3 also checks the order of the sums
+    for (case, (make, infectious)), beta in itertools.product(_SORTED_GRIDS.items(), [1.0, 0.5, 0.3, 0.0]):
+        grid = make()
+        assert _sparse_is_cheaper(grid, infectious), case
+        if case == "cell_of":
+            assert grid.bucket_shift == 0
+        elif case != "searched":
+            assert infectious >= max(grid.num_buckets, attractiveness.TABLE_DRAWS), case
+        step_rng, direct_rng = substream(6, 1, 2), substream(6, 1, 2)
+        got = _class_exposure(grid, infectious, beta, step_rng)
+        want = _collapse_by_unique(choose_cells(make(), direct_rng, infectious), grid, beta)
+        np.testing.assert_array_equal(got, want, err_msg=f"{case} beta={beta}")
+        assert step_rng.random() == direct_rng.random(), (case, beta)
 
 
 def test_segment_step_draws_are_pinned():
@@ -268,13 +295,9 @@ def test_count_engine_cost_is_bounded_in_n():
     assert elapsed < 0.5
 
 
-def _dense_step_peak(n: int, infectious: int) -> tuple[int, int]:
-    """tracemalloc peak of one count step with `infectious` nodes, and its bound.
-
-    The bound is 64 bytes per block cell, chunk placement and piece: just
-    over 8 MiB with the default 2**16-cell blocks and 2**16-placement chunks.
-    """
-    params = preset_emerging(n).params
+def _step_peak(n: int, infectious: int, beta: float = 1.0) -> tuple[int, CellGrid]:
+    """tracemalloc peak of one count step with `infectious` nodes, and the grid it ran on."""
+    params = dataclasses.replace(preset_emerging(n).params, beta=beta)
     grid = build_grid(params, substream(5, 0, 0))
     state = CountState(params.n - infectious, 0, {0: infectious})
     tracemalloc.start()
@@ -284,8 +307,29 @@ def _dense_step_peak(n: int, infectious: int) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
     assert report.new_infections_total > 0
+    return peak, grid
+
+
+def _dense_step_peak(n: int, infectious: int) -> tuple[int, int]:
+    """tracemalloc peak of one dense count step, and its bound.
+
+    The bound is 64 bytes per block cell, chunk placement and piece: just
+    over 8 MiB with the default 2**16-cell blocks and 2**16-placement chunks.
+    """
+    peak, grid = _step_peak(n, infectious)
     pieces = grid.pieces.pick.size  # built by the step, inside the traced peak
     return peak, 64 * (attractiveness.BLOCK_CELLS + dynamics.CHUNK_PLACEMENTS + pieces)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_sorted_count_step_memory_per_node(beta):
+    # |I| = 1e5 on a 1e8-cell grid sorts: it holds a few numbers a node and
+    # nothing of length K.  engine_version 0.7.0 peaked at 41-43 bytes a node
+    # here, with np.unique's copies and choose_cells' bucket table
+    infectious = 100_000
+    peak, grid = _step_peak(10**8, infectious, beta)
+    assert _sparse_is_cheaper(grid, infectious)
+    assert peak <= 41 * infectious
 
 
 def test_dense_count_step_memory_is_bounded():
@@ -333,6 +377,17 @@ class _Recorder:
         return self.words[-1]
 
 
+class _Integers:
+    """A Generator stand-in whose integers() returns given draws."""
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
+
+    def integers(self, low, high, size):
+        assert (low, size) == (0, self.x.size) and np.all(self.x < high)
+        return self.x.copy()
+
+
 @given(
     data=st.data(),
     beta=st.sampled_from([1.0, 0.5, 0.0]),
@@ -351,18 +406,21 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
         per_cell = 1.0 - (1.0 - beta) ** np.bincount(cells, minlength=num_cells)
         return [per_cell[cell_class == c].sum() for c in range(sizes.size)]
 
-    cells = np.array(
-        data.draw(st.lists(st.integers(0, num_cells - 1), min_size=1, max_size=60)), dtype=np.int64
-    )
     grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
-    np.testing.assert_allclose(_exposure_by_class(cells, grid, beta), direct(cells), rtol=1e-12, atol=1e-12)
+    # the sorted step collapses the drawn integers of [0, W) as they come;
+    # grid.cell_of is the cell of each integer, built without place()
+    x = np.array(
+        data.draw(st.lists(st.integers(0, grid.total_weight - 1), min_size=1, max_size=60)), dtype=np.int64
+    )
+    exposure = _sorted_exposure(grid, x.size, beta, _Integers(x))
+    np.testing.assert_allclose(exposure, direct(grid.cell_of[x]), rtol=1e-12, atol=1e-12)
 
     with pytest.MonkeyPatch.context() as mp:
         calls = _force_pieces(mp, block, chunk)
         grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
         pieces = grid.pieces
         rng = _Recorder(substream(4104, num_cells, 2))
-        exposure = _class_exposure(grid, len(cells), beta, rng)
+        exposure = _class_exposure(grid, x.size, beta, rng)
         assert _only_pieces(calls), calls
     # pieces are powers of two that tile each class and never cross a block
     length = pieces.mask.astype(np.int64) + 1
@@ -387,7 +445,7 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
             placed.append(start[piece] + (lanes[:piece.size] & (length[piece] - 1)))
     assert next(words, None) is None
     placed = np.concatenate(placed)
-    assert placed.size == len(cells)
+    assert placed.size == x.size
     np.testing.assert_allclose(exposure, direct(placed), rtol=1e-12, atol=1e-12)
 
 

@@ -32,7 +32,7 @@ from epimob import (
     run_replications,
     serialize_config,
 )
-from epimob import harness
+from epimob import dynamics, harness
 from epimob import rng as rng_module
 from epimob.harness import _stat_summary
 from epimob.rng import ROLE_GRID, ROLE_INIT, ROLE_MOVEMENT, ROLE_TRANSMISSION, substream
@@ -232,6 +232,43 @@ def test_default_run_writes_pinned_bytes(tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
     }
     assert digests == DEFAULT_RUN_DIGESTS
+
+
+# sha256 of the files a default run writes at beta = 0.5 and tau = 3, as
+# engine_version 0.7.0 wrote them: below beta = 1 both placement paths sum
+# infection probabilities of hit counts, which the beta = 1 digests never reach
+HALF_BETA_RUN_DIGESTS = {
+    "summary.csv": "fdcba9ed8d424c4d339f0878bf6e3b861789ce1661a096775ce242ae3a962b9b",
+    "trace_0000.csv": "273a40b0adc26aacbd2472170ad667d2f421aeabb3e36e6b8272b5db904c17e4",
+    "trace_0001.csv": "9e835147e61071dd9ddc9894c590e92ae70a8717aeb09c0524b1830468312332",
+    "trace_0002.csv": "79fbc74a8e4da3afa6991e6411e625faf916bd6fefd3d42e0c6409700a8c729a",
+    "trace_0003.csv": "eae5c78ef7649b38cac2b375eab26bc13d83028200b75bf76c7e5d880c155252",
+}
+
+
+def test_half_beta_run_writes_pinned_bytes(tmp_path, monkeypatch):
+    base = preset_emerging(20_000)
+    config = dataclasses.replace(
+        base, params=dataclasses.replace(base.params, beta=0.5, tau=3),
+        seed=3, replications=4, out_dir=str(tmp_path),
+    )
+    run_replications(config, workers=2)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
+    }
+    assert digests == HALF_BETA_RUN_DIGESTS
+    # the pool's workers count nowhere the test sees, so spy on a serial rerun
+    calls = {"_sorted_exposure": 0, "_piece_exposure": 0}
+    for name in calls:
+        real = getattr(dynamics, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    run_replications(dataclasses.replace(config, out_dir=None))
+    assert all(calls.values()), calls
 
 
 # sha256 of the files a per-node (log_cells) run writes, with and without the
