@@ -223,12 +223,8 @@ class Pieces(NamedTuple):
 
 # choose_cells finds a draw's class in a table of power-of-two buckets of
 # [0, W): BUCKETS_PER_CLASS * m rounded up to a power of two, and so fewer
-# than 2 * BUCKETS_PER_CLASS * m of them.  On a 2-vCPU x86-64 host a table
-# took 17-62 us to build (about a dozen numpy calls; m = 6 to 717) and saved
-# 8-28 ns a draw against the binary search (m = 6 to 137), so it pays only
-# from about TABLE_DRAWS draws.
+# than 2 * BUCKETS_PER_CLASS * m of them.
 BUCKETS_PER_CLASS = 16
-TABLE_DRAWS = 2**10
 
 
 class Buckets(NamedTuple):
@@ -256,10 +252,9 @@ class CellGrid:
     alpha:         exponent the weights were drawn with, or None
 
     Cells are numbered in class order.  Built once: num_cells K;
-    total_weight W; pick[c] = v_c * n_c / W, the chance that a node picks
-    class c; band[c] = floor(log2(v_c)); num_bands, the band columns of a
-    StepReport; start[c], where class c begins; weight_start[c], the total
-    weight of the classes before c; base[c] = start[c] * v_c - weight_start[c],
+    total_weight W; band[c] = floor(log2(v_c)); num_bands, the band
+    columns of a StepReport; start[c], where class c begins; weight_start[c],
+    the total weight of the classes before c; base[c] = start[c] * v_c - weight_start[c],
     so the integer x of class c belongs to cell (x + base[c]) // v_c;
     bucket_shift and num_buckets, the shape of choose_cells' table.
 
@@ -276,7 +271,6 @@ class CellGrid:
 
     num_cells: int = field(init=False)
     total_weight: int = field(init=False)
-    pick: np.ndarray = field(init=False, repr=False)
     band: np.ndarray = field(init=False, repr=False)
     num_bands: int = field(init=False)
     start: np.ndarray = field(init=False, repr=False)
@@ -299,7 +293,6 @@ class CellGrid:
         weight_end = weight.cumsum()
         self.num_cells = int(cells_end[-1])
         self.total_weight = int(weight_end[-1])
-        self.pick = weight / self.total_weight
         self.band = np.frexp(values)[1] - 1
         self.num_bands = int(values[-1]).bit_length()
         self.start = cells_end - sizes
@@ -427,16 +420,15 @@ def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndar
     boundary, every integer is of the bucket's one class; only the draws in
     a straddling bucket are binary searched over the class boundaries.  The
     bucket table costs O(num_buckets) to build, so a call with fewer draws
-    than it has buckets, or than TABLE_DRAWS, binary searches all of them
-    instead and builds nothing.  A direct table holds fewer than 2 *
-    BUCKETS_PER_CLASS * m cells and is used at every size.  All paths give
-    each x the same cell.
+    than it has buckets binary searches all of them instead and builds
+    nothing.  A direct table holds fewer than 2 * BUCKETS_PER_CLASS * m
+    cells and is used at every size.  All paths give each x the same cell.
     """
     x = rng.integers(0, grid.total_weight, size)
     shift = grid.bucket_shift
     if not shift:
         return grid.cell_of[x]
-    if size < max(grid.num_buckets, TABLE_DRAWS):
+    if size < grid.num_buckets:
         place(grid, x, grid.weight_start[1:].searchsorted(x, side="right"))
         return x
     table = grid.buckets

@@ -147,8 +147,7 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
     once, merging its overlay onto the params then in effect and drawing a
     fresh grid (apply_intervention).  So overlays apply in firing order,
     which need not be list order when time and prevalence triggers
-    interleave; the trace starts config.band_width bands wide and widens
-    when such an order reaches a higher band.
+    interleave; config.band_width already covers every such order.
     """
     streams = ReplicateStreams.from_seed(config.seed, replicate)
     params = config.params
@@ -167,7 +166,6 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
         for idx, trig in enumerate(config.schedule):
             if fired[idx] is None and trig.condition.met(state.step, counts.infected, params.n):
                 params, grid = apply_intervention(state, params, trig.overlay, streams.grid)
-                builder.widen(params.max_band)
                 fired[idx] = state.step
 
     fire_due()
@@ -176,7 +174,8 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
             was_infectious = state.status == INFECTED
         report = advance(state, grid, params, streams)
         if log_cells:
-            builder.record_logs(state.current_cell.copy(), was_infectious)
+            # substep_move stores a fresh array every step, so no row is shared
+            builder.record_logs(state.current_cell, was_infectious)
         counts = state.counts()
         builder.record(report, counts)
         fire_due()

@@ -19,8 +19,8 @@ class SimulationTrace:
 
     Arrays are indexed by step, so steps[j] == j.  new_by_group has one
     column per attractiveness band starting at band 1, as many as the
-    highest band of any parameter set the run used; rows before a wider
-    set took effect hold zeros there.
+    highest band of any parameter set the run's config can reach
+    (ScenarioConfig.band_width).
 
     cell_log / infectious_log, set by per-node (log_cells) runs, hold one row per executed step
     (row j - 1 describes step j): the post-move cell of every node and
@@ -91,10 +91,6 @@ class TraceBuilder:
             )
         )
 
-    def widen(self, num_groups: int) -> None:
-        """Grow the band width to num_groups, if narrower; earlier rows get zero columns."""
-        self._num_groups = max(self._num_groups, num_groups)
-
     def record_logs(self, cells: np.ndarray, infectious_mask: np.ndarray) -> None:
         """Append one step's post-move cells and pre-step infectious mask."""
         self._cell_rows.append(np.asarray(cells, dtype=np.int64))
@@ -103,14 +99,9 @@ class TraceBuilder:
     def finalize(
         self, extinction_step: Optional[int], cap_reached: bool
     ) -> SimulationTrace:
-        rows = self._rows
-        width = self._num_groups
-        # widen() leaves the rows recorded before it narrow, row 0 among them
-        if len(rows[0][5]) < width:
-            rows = [(*r[:5], r[5] + (0,) * (width - len(r[5])), r[6]) for r in rows]
         # a row holds SimulationTrace's first seven fields, in order
         return SimulationTrace(
-            *(np.array(column, dtype=np.int64) for column in zip(*rows)),
+            *(np.array(column, dtype=np.int64) for column in zip(*self._rows)),
             extinction_step=extinction_step,
             cap_reached=cap_reached,
             cell_log=np.array(self._cell_rows) if self._cell_rows else None,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,6 +23,13 @@ from .dynamics import CountState, PopulationState
 from .errors import ConfigError
 
 
+# the argument of a time:STEP or prevalence:FRACTION trigger condition
+STEP_FIELD = Field("trigger step", int, None, lambda v: v >= 1,
+                   "trigger step must be a positive integer", "steps before a time trigger fires")
+FRACTION_FIELD = Field("trigger fraction", float, None, lambda v: 0.0 < v <= 1.0,
+                       "trigger prevalence fraction must be a number in (0, 1]", "infected share")
+
+
 @dataclass(frozen=True)
 class TimeReached:
     """Fires once the run has completed `step` steps."""
@@ -31,8 +37,7 @@ class TimeReached:
     step: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.step, bool) or not isinstance(self.step, int) or self.step < 1:
-            raise ConfigError("trigger step must be a positive integer")
+        STEP_FIELD.check(self.step)
 
     def met(self, step: int, infected: int, n: int) -> bool:
         return step >= self.step
@@ -45,9 +50,7 @@ class PrevalenceReached:
     fraction: float
 
     def __post_init__(self) -> None:
-        real = isinstance(self.fraction, numbers.Real) and not isinstance(self.fraction, bool)
-        if not (real and 0.0 < self.fraction <= 1.0):
-            raise ConfigError("trigger prevalence fraction must be a number in (0, 1]")
+        FRACTION_FIELD.check(self.fraction)
 
     def met(self, step: int, infected: int, n: int) -> bool:
         return infected >= self.fraction * n
@@ -129,16 +132,39 @@ class InterventionSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triggers", tuple(self.triggers))
-        steps = [t.condition.step for t in self.triggers if isinstance(t.condition, TimeReached)]
-        fracs = [
-            t.condition.fraction
-            for t in self.triggers
-            if isinstance(t.condition, PrevalenceReached)
-        ]
+        steps = [t.condition.step for t in self.of_kind(TimeReached)]
+        fracs = [t.condition.fraction for t in self.of_kind(PrevalenceReached)]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ConfigError("time triggers must have strictly increasing steps")
         if any(b <= a for a, b in zip(fracs, fracs[1:])):
             raise ConfigError("prevalence triggers must have strictly increasing fractions")
+
+    def of_kind(self, kind: type) -> list:
+        """The triggers whose condition is a `kind`, in list order."""
+        return [t for t in self.triggers if isinstance(t.condition, kind)]
+
+    def reachable(self, params: EpidemicParams) -> frozenset:
+        """Every parameter set a run that starts from params can reach.
+
+        Each trigger kind fires in list order; the kinds interleave freely.
+        row[j] holds, for i = 0, 1, ... in turn, the sets in effect once the
+        first i time and the first j prevalence overlays have fired: at most
+        16, as each overlay key keeps its base value or the last time or
+        prevalence overlay's.  Every merge revalidates, so a reachable
+        invalid grid raises ConfigError.
+        """
+        times = [t.overlay for t in self.of_kind(TimeReached)]
+        prevs = [t.overlay for t in self.of_kind(PrevalenceReached)]
+        row = [{params}]
+        for prev in prevs:
+            row.append({prev.merge(p) for p in row[-1]})
+        reached = set().union(*row)
+        for time in times:
+            row[0] = {time.merge(p) for p in row[0]}
+            for j, prev in enumerate(prevs, start=1):
+                row[j] = {time.merge(p) for p in row[j]} | {prev.merge(p) for p in row[j - 1]}
+            reached.update(*row)
+        return frozenset(reached)
 
     def __len__(self) -> int:
         return len(self.triggers)
@@ -151,10 +177,11 @@ class InterventionSchedule:
 class ScenarioConfig:
     """Everything one invocation needs: params, schedule, seeding, outputs.
 
-    Each field but params and schedule must pass its RUN_FIELDS row.  The
-    schedule's overlays are merged onto params in list order, which checks
-    every grid of that chain; band_width, the highest band any of its grids
-    can hold, is the number of band columns a trace starts with.
+    Each field but params and schedule must pass its RUN_FIELDS row.  Every
+    parameter set the schedule can reach from params, in any firing order,
+    is built and so checked here (InterventionSchedule.reachable);
+    band_width, the highest band any of their grids can hold, is the number
+    of band columns of every trace of the run.
     """
 
     params: EpidemicParams
@@ -170,11 +197,7 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 f.check(value)
-        params = self.params
-        width = params.max_band
-        for trig in self.schedule:
-            params = trig.overlay.merge(params)
-            width = max(width, params.max_band)
+        width = max(p.max_band for p in self.schedule.reachable(self.params))
         object.__setattr__(self, "band_width", width)
 
 
@@ -251,15 +274,9 @@ def parse_trigger(text: str) -> Trigger:
     if not colon:
         raise ConfigError("trigger condition must look like time:STEP or prevalence:FRACTION")
     if kind == "time":
-        try:
-            condition: TriggerCondition = TimeReached(int(arg))
-        except ValueError as exc:
-            raise ConfigError(f"bad trigger step {arg.strip()!r}") from exc
+        condition: TriggerCondition = TimeReached(STEP_FIELD.parse(arg))
     elif kind == "prevalence":
-        try:
-            condition = PrevalenceReached(float(arg))
-        except ValueError as exc:
-            raise ConfigError(f"bad trigger fraction {arg.strip()!r}") from exc
+        condition = PrevalenceReached(FRACTION_FIELD.parse(arg))
     else:
         raise ConfigError(f"unknown trigger condition {kind!r} (want time or prevalence)")
 
@@ -328,9 +345,9 @@ def serialize_config(config: ScenarioConfig) -> str:
     for trig in config.schedule:
         cond = trig.condition
         head = (
-            f"time:{cond.step}"
+            f"time:{STEP_FIELD.format(cond.step)}"
             if isinstance(cond, TimeReached)
-            else f"prevalence:{float(cond.fraction)!r}"
+            else f"prevalence:{FRACTION_FIELD.format(cond.fraction)}"
         )
         overrides = ",".join(
             f"{k}={FIELDS[k].format(v)}" for k, v in trig.overlay._changes().items()

@@ -18,7 +18,6 @@ from epimob import (
     power_law_pmf,
 )
 from epimob import harness
-from epimob.attractiveness import TABLE_DRAWS
 from epimob.rng import substream
 from epimob.scenario import preset_emerging, preset_industrialized
 
@@ -119,7 +118,6 @@ def test_largest_grid_weight_fits_int64():
     grid = build_grid(params, substream(0, 0, 0))
     assert grid.max_attractiveness == 2
     assert grid.total_weight == 2 * params.num_cells == 2**63 - 2**11
-    assert grid.pick.tolist() == [1.0]
 
 
 def test_params_rejects_empty_attractiveness_support():
@@ -210,7 +208,6 @@ def _reference_tables(weights: np.ndarray) -> dict:
         "start": np.cumsum(sizes) - sizes,
         "weight_start": np.cumsum(values * sizes) - values * sizes,
         "total_weight": total,
-        "pick": values * sizes / total,
         "band": np.floor(np.log2(values)).astype(int),
         "num_bands": int(np.floor(np.log2(values[-1]))) + 1,
         "attractiveness": ordered,
@@ -283,12 +280,12 @@ def _cached_tables(grid):
 )
 def test_choose_cells_is_exact_in_law(weights):
     # every integer in [0, W) drawn k times lands k * d_v times on each cell
-    # v, both in one call of at least TABLE_DRAWS draws (the table) and in
-    # calls of fewer draws than there are buckets (the class search, unless
-    # the table is direct)
+    # v, both in one call of at least as many draws as there are buckets (the
+    # table) and in calls of fewer (the class search, unless the table is
+    # direct)
     grid = CellGrid.from_weights(weights)
     np.testing.assert_array_equal(grid.attractiveness, np.sort(weights))
-    k = -(-TABLE_DRAWS // grid.total_weight)
+    k = -(-grid.num_buckets // grid.total_weight)
     cells = choose_cells(grid, _EveryInteger(), k * grid.total_weight)
     np.testing.assert_array_equal(np.bincount(cells, minlength=grid.num_cells), k * grid.attractiveness)
     if grid.bucket_shift == 0:
@@ -324,7 +321,7 @@ def _weights_totalling(total):
         pytest.param([2, 3, 4, 5, 6, 7, 8] + [9] * 300, 7, id="bucket-spans-7-classes"),
         pytest.param([2] * 40 + [3] * 30 + [5] * 7 + [9] * 100 + [9000] * 3, 4, id="bucket-spans-4-classes"),
         *(pytest.param(_weights_totalling(2**10 + d), 2, id=f"W=2**10{d:+d}") for d in (-1, 0, 1)),
-        pytest.param(list(range(2, 80)) * 30, 2, id="more-buckets-than-TABLE_DRAWS"),
+        pytest.param(list(range(2, 80)) * 30, 2, id="78-classes"),
     ],
 )
 def test_choose_cells_matches_the_class_search(weights, widest):
@@ -335,14 +332,14 @@ def test_choose_cells_matches_the_class_search(weights, widest):
         assert grid.num_buckets == ((total - 1) >> grid.bucket_shift) + 1 <= 32 * m
     else:
         assert widest == 1 and total <= grid.num_buckets
-    # the smallest call that uses a bucket table
-    gate = max(grid.num_buckets, TABLE_DRAWS)
-    for size in (0, 1, grid.num_buckets - 1, grid.num_buckets, gate - 1, gate, 3 * total + 5):
+    # the smallest call that uses a bucket table has one draw a bucket
+    gate = grid.num_buckets
+    for size in (0, 1, gate - 1, gate, 3 * total + 5):
         x = np.random.default_rng(size).integers(0, total, size)
         cells = choose_cells(grid, np.random.default_rng(size), size)
         assert cells.dtype == np.int64
         np.testing.assert_array_equal(cells, _searched_cells(grid, x))
-    for size in (0, grid.num_buckets - 1, gate - 1, gate):
+    for size in (0, gate - 1, gate):
         fresh = CellGrid.from_weights(weights)
         choose_cells(fresh, np.random.default_rng(0), size)
         if fresh.bucket_shift == 0:

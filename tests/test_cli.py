@@ -257,6 +257,27 @@ def test_grids_too_large_for_int64_are_config_errors(tmp_path, capsys, argv):
     assert err.startswith("config error: grid too large") and "Traceback" not in err
 
 
+# the list-order chain reaches alpha 10 at kappa 10000 (support up to 3), but
+# the time trigger may fire first, reaching alpha 10 at kappa 1 (support 1)
+OUT_OF_ORDER_EMPTY_SUPPORT = (
+    "n=100\nalpha=2.5\ntau=50\ninitial_infected=5\nmax_steps=50\n"
+    "trigger=prevalence:0.99->kappa=10000\ntrigger=time:1->alpha=10\n"
+)
+
+
+def test_a_grid_only_another_firing_order_reaches_is_a_config_error(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text(OUT_OF_ORDER_EMPTY_SUPPORT)
+    assert cli_main(["validate", str(cfg)]) == 2
+    assert "attractiveness support is empty" in capsys.readouterr().err
+    calls = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    dest = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(dest)]) == 2
+    assert "attractiveness support is empty" in capsys.readouterr().err
+    assert calls == [] and not dest.exists()
+
+
 def test_validate_missing_file_is_an_io_error(tmp_path, capsys):
     assert cli_main(["validate", str(tmp_path / "nope.cfg")]) == 3
     assert "io error:" in capsys.readouterr().err

@@ -94,7 +94,7 @@ def test_written_manifest_names_version_and_engine(tmp_path):
         out_dir = tmp_path / engine
         run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["engine_version"] == epimob.__version__ == "0.7.0"
+        assert manifest["engine_version"] == epimob.__version__ == "0.7.1"
         assert manifest["engine"] == engine
 
 
@@ -305,25 +305,31 @@ def test_logged_run_writes_pinned_bytes(tmp_path, case):
 
 
 @pytest.mark.parametrize("log_cells", [False, True])
-def test_triggers_firing_out_of_list_order_widen_the_trace(log_cells):
+def test_triggers_firing_out_of_list_order_widen_the_trace(tmp_path, log_cells):
     # the time trigger fires first, so the run reaches alpha 2.05 at kappa 3
     # (band 7), a grid the list-order chain (band 6 at most) never builds;
-    # 50 initial cases make the outbreak reach 5% prevalence
+    # the config counts it from the start, so every trace of the run is 7
+    # bands wide.  50 initial cases make the outbreak reach 5% prevalence
     config = parse_config(
-        "n=10000\ntau=3\ninitial_infected=50\n"
+        "n=10000\ntau=3\ninitial_infected=50\nreplications=2\n"
         "trigger=prevalence:0.05->alpha=2.05\n"
         "trigger=time:1->alpha=2.5,kappa=3\n"
     )
-    config = dataclasses.replace(config, log_cells=log_cells)
-    assert config.band_width == 6
-    summary, trace = run_replicate(config, 0)
-    prevalence_step, time_step = summary.fired_steps
-    assert time_step == 1 and prevalence_step > time_step
-    assert trace.new_by_group.shape == (trace.steps.size, 7)
-    np.testing.assert_array_equal(trace.new_by_group.sum(axis=1), trace.new_total)
-    # band 7 gets cases only once both overlays are in effect
-    assert trace.new_by_group[: prevalence_step + 1, 6].sum() == 0
-    assert trace.new_by_group[:, 6].sum() > 0
+    assert config.band_width == 7
+    config = dataclasses.replace(config, log_cells=log_cells, out_dir=str(tmp_path))
+    result = run_replications(config)
+    for summary, trace in zip(result.summaries, result.traces):
+        prevalence_step, time_step = summary.fired_steps
+        assert time_step == 1 and prevalence_step > time_step
+        assert trace.new_by_group.shape == (trace.steps.size, 7)
+        np.testing.assert_array_equal(trace.new_by_group.sum(axis=1), trace.new_total)
+        # band 7 gets cases only once both overlays are in effect
+        assert trace.new_by_group[: prevalence_step + 1, 6].sum() == 0
+        assert trace.new_by_group[:, 6].sum() > 0
+    headers = {p.read_text().splitlines()[0] for p in tmp_path.glob("trace_*.csv")}
+    bands = ",".join(f"new_g{k}" for k in range(1, 8))
+    assert headers == {f"step,I,U,R,new_total,{bands},recovered"}
+    assert len(list(tmp_path.glob("trace_*.csv"))) == 2
 
 
 def test_manifest_reproduces_the_config():

@@ -90,16 +90,6 @@ def test_builder_rejects_overflowing_band():
     np.testing.assert_array_equal(trace.new_by_group, [[0], [1]])
 
 
-def test_builder_widens_and_pads_earlier_rows():
-    builder = TraceBuilder((8, 2, 0), num_groups=1)
-    builder.record(_report(1, 1, [0, 1]), (7, 3, 0))
-    builder.widen(3)
-    builder.widen(2)  # never narrows
-    builder.record(_report(2, 2, [0, 0, 1, 1]), (5, 5, 0))
-    trace = builder.finalize(extinction_step=None, cap_reached=True)
-    np.testing.assert_array_equal(trace.new_by_group, [[0, 0, 0], [1, 0, 0], [0, 1, 1]])
-
-
 def test_builder_rejects_zero_groups():
     with pytest.raises(ValueError):
         TraceBuilder((8, 2, 0), num_groups=0)

@@ -1,6 +1,7 @@
 """Presets, triggers, overlays, config text parsing, and round-trips."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ def test_time_trigger_condition():
     # serialize_config would write time:True, which parse_config refuses
     with pytest.raises(ConfigError, match="trigger step"):
         TimeReached(True)
+    # numpy integers too, written back as plain integers
+    trig = Trigger(TimeReached(np.int64(3)), ParamOverlay(tau=1))
+    assert trig.condition == TimeReached(3)
+    config = ScenarioConfig(
+        params=EpidemicParams(n=1000, alpha=2.8, kappa=1.0, tau=2),
+        schedule=InterventionSchedule((trig,)),
+    )
+    assert "trigger=time:3->tau=1\n" in serialize_config(config)
+    assert parse_config(serialize_config(config)) == config
 
 
 def test_prevalence_trigger_condition():
@@ -133,6 +143,60 @@ def test_config_checks_every_grid_of_the_overlay_chain():
         ScenarioConfig(params=params, schedule=InterventionSchedule((fine, empty)))
     with pytest.raises(ConfigError, match="support"):
         parse_config("n=100\ntrigger=time:2->alpha=3.0\ntrigger=time:4->alpha=50\n")
+    # in list order alpha 10 meets kappa 10000 (support up to 3); if the time
+    # trigger fires first, alpha 10 meets kappa 1 and the support is empty
+    with pytest.raises(ConfigError, match="attractiveness support is empty"):
+        parse_config(
+            "n=100\nalpha=2.5\ntau=50\n"
+            "trigger=prevalence:0.99->kappa=10000\ntrigger=time:1->alpha=10\n"
+        )
+
+
+_small_overlays = st.fixed_dictionaries(
+    {},
+    optional={
+        "alpha": st.sampled_from([2.5, 3.0, 4.0]),
+        "kappa": st.sampled_from([0.5, 1.0, 8.0]),
+        "tau": st.integers(1, 3),
+        "beta": st.sampled_from([0.5, 1.0]),
+    },
+).filter(bool).map(lambda kw: ParamOverlay(**kw))
+
+
+def _reachable_by_every_firing_order(params, schedule):
+    kinds = [type(t.condition) for t in schedule]
+    reached = {params}
+    for order in set(itertools.permutations(kinds)):
+        queues = {kind: iter([t.overlay for t in schedule if type(t.condition) is kind]) for kind in set(kinds)}
+        p = params
+        for kind in order:
+            p = next(queues[kind]).merge(p)
+            reached.add(p)
+    return reached
+
+
+@given(
+    times=st.lists(_small_overlays, max_size=3),
+    prevs=st.lists(_small_overlays, max_size=3),
+    slots=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_reachable_sets_match_every_firing_order(times, prevs, slots):
+    # each kind fires in list order, the kinds in any interleaving; the list
+    # itself interleaves them as slots says
+    params = EpidemicParams(n=10_000, alpha=2.8, kappa=1.0, tau=2)
+    queues = {True: iter(enumerate(times, start=1)), False: iter(enumerate(prevs, start=1))}
+    triggers = []
+    for kind in slots + [True] * len(times) + [False] * len(prevs):
+        item = next(queues[kind], None)
+        if item is not None:
+            k, overlay = item
+            condition = TimeReached(k) if kind else PrevalenceReached(k / 4)
+            triggers.append(Trigger(condition, overlay))
+    schedule = InterventionSchedule(tuple(triggers))
+    want = _reachable_by_every_firing_order(params, schedule)
+    assert schedule.reachable(params) == want
+    config = ScenarioConfig(params=params, schedule=schedule)
+    assert config.band_width == max(p.max_band for p in want)
 
 
 def test_schedule_orders_within_condition_kind():
