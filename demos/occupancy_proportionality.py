@@ -19,7 +19,7 @@ def main() -> None:
     cells = choose_cells(grid, streams.movement, params.n)
 
     occupancy = np.bincount(cells, minlength=grid.num_cells)
-    top = grid.max_attractiveness
+    top = params.max_attractiveness
     per_weight = np.bincount(grid.attractiveness, weights=occupancy, minlength=top + 1)
     cells_per_weight = np.bincount(grid.attractiveness, minlength=top + 1)
 

@@ -47,7 +47,6 @@ from .harness import (
     RunResult,
     StatSummary,
     aggregate_stats,
-    engine_version,
     run_replicate,
     run_replications,
 )

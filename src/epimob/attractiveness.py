@@ -247,9 +247,10 @@ class Buckets(NamedTuple):
 class CellGrid:
     """A grid as its class histogram, plus the tables both engines reuse.
 
-    values, sizes: the distinct weights in increasing order, each in
-                   [2, max_attractiveness], and the number of cells at each
-    alpha:         exponent the weights were drawn with, or None
+    values, sizes: the distinct weights in increasing order, each at least
+                   2, and the number of cells at each; K times the largest
+                   weight must be below 2**63, so that W and every integer
+                   place() computes fit int64
 
     Cells are numbered in class order.  Built once: num_cells K;
     total_weight W; band[c] = floor(log2(v_c)); num_bands, the band
@@ -266,8 +267,6 @@ class CellGrid:
 
     values: np.ndarray
     sizes: np.ndarray
-    max_attractiveness: int
-    alpha: float | None = None
 
     num_cells: int = field(init=False)
     total_weight: int = field(init=False)
@@ -284,10 +283,13 @@ class CellGrid:
         sizes = self.sizes = np.asarray(self.sizes, dtype=np.int64)
         if values.ndim != 1 or values.size == 0 or sizes.shape != values.shape:
             raise ValueError("values and sizes must be non-empty 1-d arrays of one length")
-        if values[0] < 2 or values[-1] > self.max_attractiveness or (values[1:] <= values[:-1]).any():
-            raise ValueError("values must increase within [2, max_attractiveness]")
+        if values[0] < 2 or (values[1:] <= values[:-1]).any():
+            raise ValueError("values must increase from at least 2")
         if sizes.min() < 1:
             raise ValueError("every class must hold at least one cell")
+        # Python integers: the int64 sums below must not wrap before the check
+        if sum(sizes.tolist()) * int(values[-1]) >= 2**63:
+            raise ValueError("grid too large: num_cells * the largest weight must be below 2**63")
         weight = values * sizes
         cells_end = sizes.cumsum()
         weight_end = weight.cumsum()
@@ -297,14 +299,14 @@ class CellGrid:
         self.num_bands = int(values[-1]).bit_length()
         self.start = cells_end - sizes
         self.weight_start = weight_end - weight
-        # below 2**63: start * v < K * max_attractiveness, checked by EpidemicParams
+        # below 2**63: start * v < K * values[-1], checked above
         self.base = self.start * values - self.weight_start
         bits = (BUCKETS_PER_CLASS * values.size - 1).bit_length()
         self.bucket_shift = max((self.total_weight - 1).bit_length() - bits, 0)
         self.num_buckets = ((self.total_weight - 1) >> self.bucket_shift) + 1
 
     @classmethod
-    def from_weights(cls, weights, alpha: float | None = None) -> "CellGrid":
+    def from_weights(cls, weights) -> "CellGrid":
         """Build a grid from explicit integer weights, each >= 2.
 
         The grid keeps the multiset of weights, numbering its cells in class
@@ -315,10 +317,7 @@ class CellGrid:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.issubdtype(w.dtype, np.integer):
             raise ValueError("cell weights must be integers")
-        if w.min() < 2:
-            raise ValueError("cell weights must be at least 2")
-        values, sizes = np.unique(w, return_counts=True)
-        return cls(values, sizes, int(values[-1]), alpha)
+        return cls(*np.unique(w, return_counts=True))
 
     @cached_property
     def attractiveness(self) -> np.ndarray:
@@ -333,11 +332,11 @@ class CellGrid:
         seg_start = np.union1d(self.start, np.arange(0, self.num_cells, BLOCK_CELLS))
         seg_length = np.diff(seg_start, append=self.num_cells)
         # a segment's pieces are the binary digits of its length, highest
-        # first; the pieces tile the cells, so each starts where the last ends
+        # first; read row by row, the masked digits keep the segments in
+        # order, and the pieces tile the cells, so each starts where the last ends
         digits = 1 << np.arange(BLOCK_CELLS.bit_length())[::-1]
-        seg = [np.flatnonzero(seg_length & d) for d in digits.tolist()]
-        order = np.argsort(np.concatenate(seg), kind="stable")
-        length = np.repeat(digits, [s.size for s in seg])[order]
+        length = (seg_length[:, None] & digits).ravel()
+        length = length[length != 0]
         start = np.cumsum(length) - length
         cls = np.searchsorted(self.start, start, side="right") - 1
         block = start // BLOCK_CELLS
@@ -393,7 +392,7 @@ def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:
     Cells are numbered in class order.  The multiset of weights has the law
     of K i.i.d. power-law draws; only the cell ids, which are labels, differ.
     """
-    return CellGrid(*draw_class_counts(params, rng), params.max_attractiveness, params.alpha)
+    return CellGrid(*draw_class_counts(params, rng))
 
 
 def place(grid: CellGrid, x: np.ndarray, cls: np.ndarray) -> None:
@@ -414,23 +413,19 @@ def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndar
     its cell by place.  x's class is the number of classes after the first
     that start at or below it.
 
-    The class of most draws needs no search.  When W <= num_buckets every
-    bucket is one integer, and grid.cell_of gives the cell of x directly.
-    Otherwise, in a bucket of grid.buckets that does not straddle a class
-    boundary, every integer is of the bucket's one class; only the draws in
-    a straddling bucket are binary searched over the class boundaries.  The
-    bucket table costs O(num_buckets) to build, so a call with fewer draws
-    than it has buckets binary searches all of them instead and builds
-    nothing.  A direct table holds fewer than 2 * BUCKETS_PER_CLASS * m
-    cells and is used at every size.  All paths give each x the same cell.
+    The class of most draws needs no search, and the grid alone picks the
+    table.  When W <= num_buckets every bucket is one integer, and
+    grid.cell_of gives the cell of x directly.  Otherwise, in a bucket of
+    grid.buckets that does not straddle a class boundary, every integer is
+    of the bucket's one class; only the draws in a straddling bucket are
+    binary searched over the class boundaries.  Either table has fewer than
+    2 * BUCKETS_PER_CLASS * m entries and is built on the first call.  Both
+    paths give each x the same cell.
     """
     x = rng.integers(0, grid.total_weight, size)
     shift = grid.bucket_shift
     if not shift:
         return grid.cell_of[x]
-    if size < grid.num_buckets:
-        place(grid, x, grid.weight_start[1:].searchsorted(x, side="right"))
-        return x
     table = grid.buckets
     b = x >> shift
     straddle = table.straddles.take(b).nonzero()[0]

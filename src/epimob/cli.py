@@ -143,7 +143,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = build_grid(config.params, ReplicateStreams.from_seed(config.seed, 0).grid)
     rows = [
         ("num_cells", str(grid.num_cells)),
-        ("max_attractiveness", str(grid.max_attractiveness)),
+        ("max_attractiveness", str(config.params.max_attractiveness)),
         ("total_weight", str(grid.total_weight)),
         ("meeting_probability", repr(exact_meeting_probability(grid))),
     ]

@@ -40,11 +40,6 @@ from .rng import ReplicateStreams, derive_seed
 from .scenario import ScenarioConfig, apply_intervention, serialize_config
 
 
-def engine_version() -> str:
-    """The package version; it changes whenever outputs change at fixed seeds."""
-    return __version__
-
-
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run, plus wall-clock metadata.
@@ -194,10 +189,6 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
     return summary, trace
 
 
-def _replicate_job(args: tuple[ScenarioConfig, int]):
-    return run_replicate(*args)
-
-
 def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     """Run every replicate, aggregate outcomes, and write files if configured.
 
@@ -214,17 +205,17 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     if config.out_dir is not None:
         # an unusable out_dir fails here, before any replicate runs
         os.makedirs(config.out_dir, exist_ok=True)
-    jobs = [(config, r) for r in range(config.replications)]
-    if workers > 1 and config.replications > 1:
+    reps = config.replications
+    if workers > 1 and reps > 1:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        workers = min(workers, config.replications)
+        workers = min(workers, reps)
         # a few tasks per worker: fewer round trips, still balanced
-        chunk = -(-config.replications // (4 * workers))
+        chunk = -(-reps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(_replicate_job, jobs, chunksize=chunk))
+            results = list(pool.map(run_replicate, [config] * reps, range(reps), chunksize=chunk))
     else:
-        results = [run_replicate(config, r) for r in range(config.replications)]
+        results = [run_replicate(config, r) for r in range(reps)]
     summaries = [s for s, _ in results]
     traces = [t for _, t in results]
 
@@ -237,7 +228,7 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
 
     # built after the CSVs are written, so wall_seconds covers their cost
     manifest = RunManifest(
-        engine_version=engine_version(),
+        engine_version=__version__,
         engine="per-node" if config.log_cells else "count",
         master_seed=config.seed,
         replications=config.replications,

@@ -156,16 +156,17 @@ def sparse_regime_check(
     epsilon: float,
     trials: int,
     rng: np.random.Generator,
-    alpha: float | None = None,
+    alpha: float,
 ) -> RegimeCheckResult:
     """Measure how often a step yields zero new infections when contacts are rare.
 
     Applies only in the sparse regime i_count * u_count <= n ** (2 * epsilon)
     with epsilon < (1 - 1/alpha) / 2, where the exact bound mu on expected
     new infections vanishes as n grows; anything outside that regime is
-    rejected.  Runs `trials` independent single steps and reports the
-    observed frequency of zero meetings between infectious and uninfected
-    nodes next to the analytic floor 1 - mu.
+    rejected.  alpha is the exponent the grid's weights were drawn with,
+    which a CellGrid does not keep.  Runs `trials` independent single steps
+    and reports the observed frequency of zero meetings between infectious
+    and uninfected nodes next to the analytic floor 1 - mu.
 
     Nodes outside I and U are recovered and inert for transmission, so each
     trial places only the i_count + u_count active nodes; that reduction is
@@ -178,10 +179,6 @@ def sparse_regime_check(
     if trials < 1:
         raise ValueError("trials must be positive")
     FIELDS["n"].check(n)
-    if alpha is None:
-        alpha = grid.alpha
-    if alpha is None:
-        raise ValueError("alpha is required (pass it or build the grid from params)")
     limit = (1.0 - 1.0 / alpha) / 2.0
     if not 0.0 < epsilon < limit:
         raise ValueError(f"epsilon must lie in (0, {limit:.4f}) for alpha={alpha}")

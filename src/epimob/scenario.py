@@ -150,19 +150,31 @@ class InterventionSchedule:
         row[j] holds, for i = 0, 1, ... in turn, the sets in effect once the
         first i time and the first j prevalence overlays have fired: at most
         16, as each overlay key keeps its base value or the last time or
-        prevalence overlay's.  Every merge revalidates, so a reachable
-        invalid grid raises ConfigError.
+        prevalence overlay's, each kept with one firing order that reaches
+        it.  Every merge revalidates, so a reachable invalid grid raises
+        ConfigError, naming the triggers that reach it in firing order.
         """
-        times = [t.overlay for t in self.of_kind(TimeReached)]
-        prevs = [t.overlay for t in self.of_kind(PrevalenceReached)]
-        row = [{params}]
+
+        def fire(trigger: Trigger, sets: dict) -> dict:
+            fired = {}
+            for p, order in sets.items():
+                try:
+                    fired.setdefault(trigger.overlay.merge(p), (*order, trigger))
+                except ConfigError as exc:
+                    names = ", ".join(format_trigger(t) for t in (*order, trigger))
+                    raise ConfigError(f"{exc} (reached once {names} fired)") from None
+            return fired
+
+        times = self.of_kind(TimeReached)
+        prevs = self.of_kind(PrevalenceReached)
+        row = [{params: ()}]
         for prev in prevs:
-            row.append({prev.merge(p) for p in row[-1]})
+            row.append(fire(prev, row[-1]))
         reached = set().union(*row)
         for time in times:
-            row[0] = {time.merge(p) for p in row[0]}
+            row[0] = fire(time, row[0])
             for j, prev in enumerate(prevs, start=1):
-                row[j] = {time.merge(p) for p in row[j]} | {prev.merge(p) for p in row[j - 1]}
+                row[j] = fire(time, row[j]) | fire(prev, row[j - 1])
             reached.update(*row)
         return frozenset(reached)
 
@@ -261,6 +273,18 @@ def apply_intervention(
     return merged, build_grid(merged, rng)
 
 
+def format_trigger(trigger: Trigger) -> str:
+    """Config text of a trigger, as parse_trigger reads it."""
+    cond = trigger.condition
+    head = (
+        f"time:{STEP_FIELD.format(cond.step)}"
+        if isinstance(cond, TimeReached)
+        else f"prevalence:{FRACTION_FIELD.format(cond.fraction)}"
+    )
+    overrides = ",".join(f"{k}={FIELDS[k].format(v)}" for k, v in trigger.overlay._changes().items())
+    return f"{head}->{overrides}"
+
+
 def parse_trigger(text: str) -> Trigger:
     """Parse `time:STEP->k=v,...` or `prevalence:FRACTION->k=v,...`."""
     head, arrow, tail = text.partition("->")
@@ -342,15 +366,5 @@ def serialize_config(config: ScenarioConfig) -> str:
     items = [(f, getattr(config.params, f.name)) for f in PARAM_FIELDS]
     items += [(f, getattr(config, f.name)) for f in RUN_FIELDS]
     lines = [f"{f.name}={f.format(value)}" for f, value in items if value is not None]
-    for trig in config.schedule:
-        cond = trig.condition
-        head = (
-            f"time:{STEP_FIELD.format(cond.step)}"
-            if isinstance(cond, TimeReached)
-            else f"prevalence:{FRACTION_FIELD.format(cond.fraction)}"
-        )
-        overrides = ",".join(
-            f"{k}={FIELDS[k].format(v)}" for k, v in trig.overlay._changes().items()
-        )
-        lines.append(f"trigger={head}->{overrides}")
+    lines += [f"trigger={format_trigger(t)}" for t in config.schedule]
     return "\n".join(lines) + "\n"

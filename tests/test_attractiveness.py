@@ -116,7 +116,7 @@ def test_largest_grid_weight_fits_int64():
     # K = 2**62 - 2**10 cells of weight 2: W = 2**63 - 2**11, just inside the bound
     params = EpidemicParams(n=2**62 - 2**10, alpha=60.0, kappa=1.0, tau=2)
     grid = build_grid(params, substream(0, 0, 0))
-    assert grid.max_attractiveness == 2
+    assert grid.values.tolist() == [2]
     assert grid.total_weight == 2 * params.num_cells == 2**63 - 2**11
 
 
@@ -134,7 +134,8 @@ def test_params_cell_count_rounding():
 def test_build_grid_cutoff_value():
     params = EpidemicParams(n=1024, alpha=2.2, kappa=1.0, tau=1)
     grid = build_grid(params, substream(0, 0, 0))
-    assert grid.max_attractiveness == attractiveness_cutoff(1024, 1.0, 2.2)
+    assert params.max_attractiveness == attractiveness_cutoff(1024, 1.0, 2.2)
+    assert grid.values[-1] <= params.max_attractiveness
     assert grid.num_cells == 1024
 
 
@@ -177,18 +178,29 @@ def test_cell_grid_validation():
     with pytest.raises(ValueError, match="integers"):
         CellGrid.from_weights(["2", "3"])
     with pytest.raises(ValueError):
-        CellGrid(np.array([2, 9]), np.array([1, 1]), max_attractiveness=8)
+        CellGrid(np.array([3, 2]), np.array([1, 1]))
     with pytest.raises(ValueError):
-        CellGrid(np.array([3, 2]), np.array([1, 1]), max_attractiveness=8)
-    with pytest.raises(ValueError):
-        CellGrid(np.array([2, 3]), np.array([1, 0]), max_attractiveness=8)
+        CellGrid(np.array([2, 3]), np.array([1, 0]))
+
+
+def test_cell_grid_rejects_grids_too_large_for_int64():
+    # W = 2**63 would wrap to -2**63
+    with pytest.raises(ValueError, match="grid too large"):
+        CellGrid.from_weights([2**62, 2**62])
+    # W fits, but place() would reach (x + base) of about 1001 * 10**16
+    with pytest.raises(ValueError, match="grid too large"):
+        CellGrid.from_weights([2] * 1000 + [10**16])
+    # just inside the bound, K * (2**62 - 1) = 2**63 - 2: every x + base stays below it
+    grid = CellGrid(np.array([2, 2**62 - 1]), np.array([1, 1]))
+    assert grid.total_weight == 2**62 + 1
+    assert (choose_cells(grid, np.random.default_rng(0), 1000) == 1).all()
 
 
 def test_cell_grid_basic_fields():
     grid = CellGrid.from_weights(np.array([2, 3, 4, 4, 8], dtype=np.uint8))
     assert grid.total_weight == 21
     assert grid.num_cells == 5
-    assert grid.max_attractiveness == 8
+    assert grid.values[-1] == 8
     assert grid.num_bands == 4
     np.testing.assert_array_equal(grid.weight_start, [0, 2, 5, 13])
     probs = grid.choice_probabilities()
@@ -280,9 +292,8 @@ def _cached_tables(grid):
 )
 def test_choose_cells_is_exact_in_law(weights):
     # every integer in [0, W) drawn k times lands k * d_v times on each cell
-    # v, both in one call of at least as many draws as there are buckets (the
-    # table) and in calls of fewer (the class search, unless the table is
-    # direct)
+    # v, both in one call of at least as many draws as there are buckets and
+    # in calls of fewer; the grid alone picks the table either way
     grid = CellGrid.from_weights(weights)
     np.testing.assert_array_equal(grid.attractiveness, np.sort(weights))
     k = -(-grid.num_buckets // grid.total_weight)
@@ -300,7 +311,7 @@ def test_choose_cells_is_exact_in_law(weights):
         [choose_cells(grid, every, min(chunk, grid.total_weight - x)) for x in range(0, grid.total_weight, chunk)]
     )
     np.testing.assert_array_equal(np.bincount(cells, minlength=grid.num_cells), grid.attractiveness)
-    assert _cached_tables(grid) == ({"cell_of"} if grid.bucket_shift == 0 else set())
+    assert _cached_tables(grid) == ({"cell_of"} if grid.bucket_shift == 0 else {"buckets"})
 
 
 def _searched_cells(grid, x):
@@ -332,7 +343,7 @@ def test_choose_cells_matches_the_class_search(weights, widest):
         assert grid.num_buckets == ((total - 1) >> grid.bucket_shift) + 1 <= 32 * m
     else:
         assert widest == 1 and total <= grid.num_buckets
-    # the smallest call that uses a bucket table has one draw a bucket
+    # calls of fewer draws than there are buckets, and of more
     gate = grid.num_buckets
     for size in (0, 1, gate - 1, gate, 3 * total + 5):
         x = np.random.default_rng(size).integers(0, total, size)
@@ -342,10 +353,7 @@ def test_choose_cells_matches_the_class_search(weights, widest):
     for size in (0, gate - 1, gate):
         fresh = CellGrid.from_weights(weights)
         choose_cells(fresh, np.random.default_rng(0), size)
-        if fresh.bucket_shift == 0:
-            assert _cached_tables(fresh) == {"cell_of"}
-        else:
-            assert _cached_tables(fresh) == ({"buckets"} if size == gate else set())
+        assert _cached_tables(fresh) == ({"cell_of"} if fresh.bucket_shift == 0 else {"buckets"})
 
 
 def test_table_shape_at_powers_of_two():

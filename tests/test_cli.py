@@ -188,7 +188,7 @@ def test_oracle_matches_library_quantities(capsys):
     config = parse_config("n=500\nseed=11\n")
     grid = build_grid(config.params, ReplicateStreams.from_seed(11, 0).grid)
     assert int(rows["num_cells"]) == 500
-    assert int(rows["max_attractiveness"]) == grid.max_attractiveness
+    assert int(rows["max_attractiveness"]) == config.params.max_attractiveness
     assert float(rows["meeting_probability"]) == exact_meeting_probability(grid)
 
 
@@ -269,7 +269,9 @@ def test_a_grid_only_another_firing_order_reaches_is_a_config_error(tmp_path, ca
     cfg = tmp_path / "order.cfg"
     cfg.write_text(OUT_OF_ORDER_EMPTY_SUPPORT)
     assert cli_main(["validate", str(cfg)]) == 2
-    assert "attractiveness support is empty" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: attractiveness support is empty")
+    assert err.rstrip().endswith("(reached once time:1->alpha=10.0 fired)")
     calls = []
     monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
     dest = tmp_path / "out"

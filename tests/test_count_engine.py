@@ -179,11 +179,12 @@ def test_count_step_retires_cohorts_with_the_per_node_rule():
 
 
 def test_count_step_band_width_follows_the_largest_drawn_weight():
-    # weights reach band 2 while max_attractiveness 40 is in band 5: the report
-    # keeps 3 band columns, because padding the band multinomial with empty
-    # categories would change the transmission draws it consumes
-    grid = CellGrid(np.array([2, 3, 5]), np.array([5, 4, 3]), max_attractiveness=40)
-    assert grid.num_bands == 3 and grid.max_attractiveness.bit_length() == 6
+    # the report has one band column per band up to the grid's largest
+    # weight (band 2), whatever the params' cutoff: padding the band
+    # multinomial with empty categories would change the transmission draws
+    # it consumes
+    grid = CellGrid(np.array([2, 3, 5]), np.array([5, 4, 3]))
+    assert grid.num_bands == 3
     params = EpidemicParams(n=60, alpha=2.8, kappa=0.2, tau=3, beta=0.7)
     streams = ReplicateStreams.from_seed(2, 0)
     report = count_step(CountState(50, 0, {0: 10}), grid, params, streams)
@@ -410,7 +411,7 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
         per_cell = 1.0 - (1.0 - beta) ** np.bincount(cells, minlength=num_cells)
         return [per_cell[cell_class == c].sum() for c in range(sizes.size)]
 
-    grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
+    grid = CellGrid(np.arange(2, 2 + sizes.size), sizes)
     # the sorted step collapses the drawn integers of [0, W) as they come;
     # grid.cell_of is the cell of each integer, built without place()
     x = np.array(
@@ -421,7 +422,7 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
 
     with pytest.MonkeyPatch.context() as mp:
         calls = _force_pieces(mp, block, chunk)
-        grid = CellGrid(np.arange(2, 2 + sizes.size), sizes, max_attractiveness=1 + sizes.size)
+        grid = CellGrid(np.arange(2, 2 + sizes.size), sizes)
         pieces = grid.pieces
         rng = _Recorder(substream(4104, num_cells, 2))
         exposure = _class_exposure(grid, x.size, beta, rng)
@@ -451,6 +452,59 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
     placed = np.concatenate(placed)
     assert placed.size == x.size
     np.testing.assert_allclose(exposure, direct(placed), rtol=1e-12, atol=1e-12)
+
+
+def _reference_pieces(grid: CellGrid, block: int) -> attractiveness.Pieces:
+    """Pieces segment by segment: the binary digits of each length, highest first."""
+    starts = grid.start.tolist()
+    cuts = sorted({*starts, *range(0, grid.num_cells, block), grid.num_cells})
+    pick, offset, mask, class_first, block_first = [], [], [], [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo in starts:
+            class_first.append(len(pick))
+        if lo % block == 0:
+            block_first.append(len(pick))
+        value = int(grid.values[np.searchsorted(grid.start, lo, side="right") - 1])
+        for k in reversed(range((hi - lo).bit_length())):
+            if (hi - lo) >> k & 1:
+                pick.append(value * 2**k / grid.total_weight)
+                offset.append(lo % block)
+                mask.append(2**k - 1)
+                lo += 2**k
+    return attractiveness.Pieces(
+        np.array(pick, dtype=np.float64),
+        np.array(offset, dtype=np.uint16),
+        np.array(mask, dtype=np.uint16),
+        np.array(class_first, dtype=np.intp),
+        np.array(block_first, dtype=np.intp),
+    )
+
+
+def _assert_same_pieces(pieces: attractiveness.Pieces, expected: attractiveness.Pieces) -> None:
+    for name, got, want in zip(expected._fields, pieces, expected):
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@given(
+    values=st.lists(st.integers(2, 50), min_size=1, max_size=6, unique=True),
+    sizes=st.lists(st.integers(1, 100), min_size=6, max_size=6),
+    block=st.integers(1, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_pieces_are_each_segments_binary_digits_in_order(values, sizes, block):
+    values = sorted(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attractiveness, "BLOCK_CELLS", block)
+        grid = CellGrid(values, sizes[:len(values)])
+        _assert_same_pieces(grid.pieces, _reference_pieces(grid, block))
+
+
+def test_pieces_of_an_emerging_grid_match_the_reference():
+    grid = build_grid(preset_emerging(10**6).params, substream(1, 0, 0))
+    pieces = grid.pieces
+    assert pieces.pick.size == 537 and pieces.block_first.size == 16
+    _assert_same_pieces(pieces, _reference_pieces(grid, attractiveness.BLOCK_CELLS))
 
 
 def test_lanes_are_16_bit_slices_of_the_raw_words_from_the_low_end():

@@ -25,7 +25,6 @@ from epimob import (
     Trigger,
     aggregate_stats,
     derive_seed,
-    engine_version,
     parse_config,
     preset_emerging,
     run_replicate,
@@ -83,10 +82,6 @@ def test_count_engine_replicate_never_builds_the_init_stream(monkeypatch):
     assert summary.ever_infected > 5
     assert ROLE_INIT not in built
     assert sorted(built) == [ROLE_GRID, ROLE_MOVEMENT, ROLE_TRANSMISSION]
-
-
-def test_engine_version_is_a_version_string():
-    assert engine_version() == epimob.__version__
 
 
 def test_written_manifest_names_version_and_engine(tmp_path):

@@ -260,8 +260,6 @@ def test_regime_check_validates_inputs():
         sparse_regime_check(
             grid, 1, 1, n=100, epsilon=0.45, trials=10, rng=substream(0, 0, 2), alpha=3.0
         )
-    with pytest.raises(ValueError, match="alpha"):
-        sparse_regime_check(grid, 1, 1, n=100, epsilon=0.2, trials=10, rng=substream(0, 0, 2))
     with pytest.raises(ValueError):
         sparse_regime_check(
             grid, 1, 1, n=100, epsilon=0.2, trials=0, rng=substream(0, 0, 2), alpha=3.0
