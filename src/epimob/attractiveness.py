@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -174,12 +174,14 @@ class EpidemicParams:
         return self.max_attractiveness.bit_length() - 1
 
 
+@lru_cache(maxsize=16)
 def power_law_pmf(alpha: float, max_attr: int) -> np.ndarray:
     """Probability table for attractiveness values 2..max_attr.
 
     Entry i holds P(d = i + 2), proportional to 1 / (i + 2) ** alpha and
     normalised over the truncated support.  Accepts any finite exponent;
-    the support is finite so the sum always converges.
+    the support is finite so the sum always converges.  Every grid build
+    reads the table, so it is cached, and read-only because it is shared.
     """
     if not isinstance(max_attr, (int, np.integer)) or max_attr < 2:
         raise ValueError("max_attr must be an integer >= 2")
@@ -187,7 +189,9 @@ def power_law_pmf(alpha: float, max_attr: int) -> np.ndarray:
         raise ValueError("alpha must be finite")
     d = np.arange(2, max_attr + 1, dtype=np.float64)
     w = d**-float(alpha)
-    return w / w.sum()
+    pmf = w / w.sum()
+    pmf.flags.writeable = False
+    return pmf
 
 
 # A dense count step (see dynamics.count_step) places nodes one block of

@@ -30,6 +30,8 @@ from .scenario import (
 )
 
 OUT_DIR_ENV = "EPIMOB_OUT_DIR"
+# oracle --cell-probs prints one row a cell, so it refuses grids above this
+CELL_PROBS_MAX_CELLS = 10**6
 
 
 def _add_field_flags(sub: argparse.ArgumentParser, fields) -> None:
@@ -74,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--i-count", type=int, help="infected count for the expectation bound")
     oracle.add_argument("--u-count", type=int, help="uninfected count for the expectation bound")
     oracle.add_argument(
-        "--cell-probs", action="store_true", help="also print every cell's choice probability"
+        "--cell-probs",
+        action="store_true",
+        help=f"also print every cell's choice probability (at most {CELL_PROBS_MAX_CELLS:,} cells)",
     )
     oracle.set_defaults(handler=_cmd_oracle)
 
@@ -85,11 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> ScenarioConfig:
+    """Parse the config file at path; a file that is not UTF-8 is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
+
+
 def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
     """Config from file and/or flags; flags override file keys one for one."""
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        cfg = _read_config(args.config)
     elif args.n is not None:
         cfg = parse_config(f"n={args.n}\n")
     else:
@@ -139,6 +152,11 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _effective_config(args)
+    if args.cell_probs and config.params.num_cells > CELL_PROBS_MAX_CELLS:
+        raise ConfigError(
+            f"--cell-probs prints one row a cell and allows at most {CELL_PROBS_MAX_CELLS} "
+            f"cells; this grid has {config.params.num_cells}"
+        )
     # same grid stream as replicate 0 of a run with this config
     grid = build_grid(config.params, ReplicateStreams.from_seed(config.seed, 0).grid)
     rows = [
@@ -166,8 +184,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        parse_config(fh.read())
+    _read_config(args.config)
     print("ok")
     return 0
 

@@ -116,7 +116,9 @@ def _stat_summary(values) -> StatSummary:
         return StatSummary(nan, nan, nan, nan)
     ordered = sorted(map(float, values))
     q10, median, q90 = (_quantile(ordered, q) for q in (0.10, 0.50, 0.90))
-    return StatSummary(float(np.mean(values)), q10, median, q90)
+    # np.mean's own reduction, without its dispatch
+    mean = float(np.add.reduce(np.asarray(values), dtype=np.float64)) / len(values)
+    return StatSummary(mean, q10, median, q90)
 
 
 def aggregate_stats(summaries, n: int) -> AggregateStats:

@@ -286,7 +286,7 @@ def format_trigger(trigger: Trigger) -> str:
 
 
 def parse_trigger(text: str) -> Trigger:
-    """Parse `time:STEP->k=v,...` or `prevalence:FRACTION->k=v,...`."""
+    """Parse `time:STEP->k=v,...` or `prevalence:FRACTION->k=v,...`; each k at most once."""
     head, arrow, tail = text.partition("->")
     if not arrow:
         raise ConfigError(
@@ -313,6 +313,8 @@ def parse_trigger(text: str) -> Trigger:
             raise ConfigError(f"trigger override {pair.strip()!r} is not key=value")
         if key not in _OVERLAY_KEYS:
             raise ConfigError(f"trigger override key {key!r} not in {_OVERLAY_KEYS}")
+        if key in fields:
+            raise ConfigError(f"trigger override key {key!r} given twice")
         fields[key] = FIELDS[key].parse(value)
     return Trigger(condition=condition, overlay=ParamOverlay(**fields))
 

@@ -48,6 +48,13 @@ def test_pmf_rejects_degenerate_support():
         power_law_pmf(2.8, -3)
 
 
+def test_pmf_is_cached_and_read_only():
+    table = power_law_pmf(2.8, 26)
+    assert power_law_pmf(2.8, 26) is table
+    with pytest.raises(ValueError):
+        table[0] = 0.5
+
+
 @given(alpha=st.floats(2.01, 8.0), max_attr=st.integers(2, 400))
 def test_pmf_sums_to_one(alpha, max_attr):
     assert abs(power_law_pmf(alpha, max_attr).sum() - 1.0) < 1e-12

@@ -1,11 +1,15 @@
 """Command-line behavior: subcommands, precedence rules, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epimob import (
     build_grid,
@@ -16,8 +20,8 @@ from epimob import (
     preset_industrialized,
     serialize_config,
 )
-from epimob import harness
-from epimob.cli import OUT_DIR_ENV, cli_main
+from epimob import cli, harness
+from epimob.cli import CELL_PROBS_MAX_CELLS, OUT_DIR_ENV, cli_main
 from epimob.rng import ReplicateStreams
 
 
@@ -213,6 +217,25 @@ def test_oracle_cell_probs_sum_to_one(capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 5e9 cells, about 37 GiB of probabilities
+        ["oracle", "--n", "500", "--kappa", "1e7", "--cell-probs"],
+        # one cell over the cap
+        ["oracle", "--n", str(CELL_PROBS_MAX_CELLS + 1), "--cell-probs"],
+    ],
+)
+def test_oracle_cell_probs_refuses_huge_grids_before_building_one(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("grid built for a refused --cell-probs")
+
+    monkeypatch.setattr(cli, "build_grid", refuse)
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --cell-probs") and f"at most {CELL_PROBS_MAX_CELLS}" in err
+
+
 def test_oracle_requires_paired_counts(capsys):
     assert cli_main(["oracle", "--n", "200", "--i-count", "2"]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -280,6 +303,15 @@ def test_a_grid_only_another_firing_order_reaches_is_a_config_error(tmp_path, ca
     assert calls == [] and not dest.exists()
 
 
+def test_config_files_that_are_not_utf8_are_config_errors(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n=300\n# caf\xe9\n")
+    for argv in (["validate", str(cfg)], ["run", "--config", str(cfg)]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg} is not UTF-8 text")
+
+
 def test_validate_missing_file_is_an_io_error(tmp_path, capsys):
     assert cli_main(["validate", str(tmp_path / "nope.cfg")]) == 3
     assert "io error:" in capsys.readouterr().err
@@ -293,3 +325,51 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert cli_main(["--help"]) == 0
     assert "run" in capsys.readouterr().out
+
+
+_VALUES = st.one_of(
+    st.integers(-3, 400).map(str),
+    st.floats(-1.0, 40.0).map(repr),
+    st.sampled_from(["0", "1e300", "nan", "inf", "", "x", "true", "2**64",
+                     "time:1->alpha=3,alpha=4", "prevalence:0.5->kappa=1e308",
+                     "time:2->tau=1,beta=0.5", "time:0->tau=1"]),
+    st.text(max_size=6),
+)
+_KEYS = ["n", "alpha", "kappa", "tau", "beta", "initial_infected", "max_steps", "seed",
+         "replications", "log_cells", "trigger", "bogus", ""]
+_LINES = st.lists(
+    st.one_of(st.tuples(st.sampled_from(_KEYS), _VALUES).map("=".join), st.text(max_size=12)),
+    max_size=6,
+).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+_FLAGS = st.lists(
+    st.tuples(st.sampled_from([f"--{k.replace('_', '-')}" for k in _KEYS if k]), _VALUES),
+    max_size=3,
+)
+
+
+@settings(max_examples=60)
+@given(
+    command=st.sampled_from(["validate", "run", "oracle"]),
+    config=st.tuples(st.sampled_from([b"", b"n=200\n"]), st.one_of(_LINES, st.binary(max_size=40)))
+    .map(b"".join),
+    n=st.one_of(st.none(), st.integers(90, 300).map(str), _VALUES),
+    flags=_FLAGS,
+)
+def test_malformed_input_never_gives_a_traceback(tmp_path_factory, command, config, n, flags):
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "fuzz.cfg"
+    cfg.write_bytes(config)
+    if command == "validate":
+        argv = ["validate", str(cfg)]
+    else:
+        # with n unset the config file is the source
+        argv = [command, *(["--config", str(cfg)] if n is None else ["--n", n])]
+        argv += [part for flag in flags for part in flag]
+        if command == "run":
+            # flags override the file: small runs, written under the fuzz directory
+            argv += ["--max-steps", "20", "--replications", "2", "--out-dir", str(work / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

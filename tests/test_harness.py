@@ -5,6 +5,10 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -68,6 +72,56 @@ def test_lazy_streams_equal_eager_substreams():
         )
     # a second access returns the same, already advanced stream
     assert streams.movement.random() == substream(42, 3, ROLE_MOVEMENT).random(9)[8]
+
+
+@given(
+    master_seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**128, 2**200)),
+    replicate=st.one_of(st.integers(0, 2**16), st.integers(2**32 - 2, 2**64)),
+)
+def test_streams_match_numpy_seed_sequence_bit_for_bit(master_seed, replicate):
+    ref = np.random.SeedSequence(master_seed, spawn_key=(replicate,))
+    assert derive_seed(master_seed, replicate) == int(ref.generate_state(1, np.uint64)[0])
+    for role in range(4):
+        ref = np.random.SeedSequence(master_seed, spawn_key=(replicate, role))
+        gen = substream(master_seed, replicate, role)
+        key = gen.bit_generator.state["state"]["key"]
+        np.testing.assert_array_equal(key, ref.generate_state(2, np.uint64))
+        np.testing.assert_array_equal(
+            gen.bit_generator.seed_seq.generate_state(5), ref.generate_state(5)
+        )
+        reference = np.random.Generator(np.random.Philox(ref))
+        assert gen.integers(2**63, size=3).tolist() == reference.integers(2**63, size=3).tolist()
+
+
+def test_stream_derivation_rejects_negative_words():
+    for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            substream(*args)
+    with pytest.raises(ValueError):
+        derive_seed(-1, 0)
+
+
+def test_substreams_pickle_and_do_not_spawn():
+    gen = substream(7, 2, ROLE_MOVEMENT)
+    gen.random(5)
+    clone = pickle.loads(pickle.dumps(gen))
+    assert clone.random(4).tolist() == gen.random(4).tolist()
+    # the seed_seq stands in for a SeedSequence only to key the generator
+    with pytest.raises(TypeError):
+        gen.spawn(1)
+
+
+def test_importing_epimob_leaves_numpy_random_unimported():
+    # numpy.random is imported on the first stream; importing it with the
+    # package would raise the memory of every process that only parses configs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    code = "import sys, epimob; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_count_engine_replicate_never_builds_the_init_stream(monkeypatch):

@@ -246,9 +246,12 @@ def test_parse_trigger_grammar():
         "time:10->tau=x",  # bad value
         "time:10->",  # empty override list
         "time:1->alpha=inf",  # out of range, caught before the run starts
+        "time:1->alpha=3,alpha=4",  # a key given twice
     ]:
         with pytest.raises(ConfigError):
             parse_trigger(bad)
+    with pytest.raises(ConfigError, match="'tau' given twice"):
+        parse_trigger("time:1->tau=2,beta=0.5,tau=2")
 
 
 def test_parse_config_defaults():
