@@ -62,7 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="time:STEP->k=v,... or prevalence:FRACTION->k=v,...; "
         "repeatable; replaces config-file triggers",
     )
-    run.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    run.add_argument(
+        "--workers", type=int, default=1,
+        help="processes to run replicates in, counting this one (default 1)",
+    )
     run.set_defaults(handler=_cmd_run)
 
     preset = sub.add_parser("preset", help="print a ready-made scenario config")

@@ -4,8 +4,9 @@ Each replicate r of a run with master seed s draws only from four random
 streams derived purely from (s, r): grid, init, movement, transmission.
 run_replicate is one loop over either engine's state and step function:
 the count-level engine by default, the per-node engine when log_cells is
-set.  Replicates therefore produce identical bytes whether they run
-serially or spread over worker processes, and the manifest (config text
+set.  With N processes, replicate r runs in process r mod N: the calling
+process runs its own share and N - 1 forked helpers run theirs.  Replicates
+therefore produce identical bytes at every N, and the manifest (config text
 plus master seed) fully determines every output byte except wall-clock
 metadata.  The loop calls build_grid, init_population, step,
 apply_intervention and the CSV writers through this module's globals, so
@@ -19,7 +20,6 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -191,16 +191,36 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
     return summary, trace
 
 
+def _run_share(config: ScenarioConfig, first: int, step: int, receiver, sender) -> None:
+    """Run replicates first, first + step, ... in a helper process.
+
+    Sends the list of (summary, trace) pairs over sender, or the exception a
+    replicate raised.  The helper first closes its copy of the receiving
+    end: were the caller to die, the send then fails instead of blocking
+    forever on a pipe only the helper itself could read.
+    """
+    receiver.close()
+    try:
+        share = [run_replicate(config, r) for r in range(first, config.replications, step)]
+    except Exception as exc:
+        share = exc
+    sender.send(share)
+    sender.close()
+
+
 def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     """Run every replicate, aggregate outcomes, and write files if configured.
 
-    With workers > 1, replicates are distributed over processes; outputs
-    are identical to a serial run because each replicate's streams depend
-    only on (master seed, replicate index).  When config.out_dir is set,
-    writes trace_<replicate>.csv per replicate plus summary.csv and
-    manifest.json.
+    workers counts the calling process: replicate r runs in process
+    r mod workers, and workers - 1 helper processes run the shares the
+    caller does not.  Outputs are identical at every worker count because
+    each replicate's streams depend only on (master seed, replicate index).
+    A helper's exception is raised again here; a helper that dies without
+    sending its share raises RuntimeError.  No helper outlives the call.
+    When config.out_dir is set, writes trace_<replicate>.csv per replicate
+    plus summary.csv and manifest.json.
     """
-    if workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -208,16 +228,38 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
         # an unusable out_dir fails here, before any replicate runs
         os.makedirs(config.out_dir, exist_ok=True)
     reps = config.replications
-    if workers > 1 and reps > 1:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        workers = min(workers, reps)
-        # a few tasks per worker: fewer round trips, still balanced
-        chunk = -(-reps // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(run_replicate, [config] * reps, range(reps), chunksize=chunk))
-    else:
-        results = [run_replicate(config, r) for r in range(reps)]
+    workers = min(workers, reps)
+    results: list = [None] * reps
+    helpers = []
+    try:
+        if workers > 1:
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+            for k in range(1, workers):
+                receiver, sender = ctx.Pipe(duplex=False)
+                helper = ctx.Process(target=_run_share, args=(config, k, workers, receiver, sender))
+                helper.start()
+                helpers.append((helper, receiver))
+                # only the helper holds the sending end, so its death reads as EOF
+                sender.close()
+        results[::workers] = [run_replicate(config, r) for r in range(0, reps, workers)]
+        for k, (helper, receiver) in enumerate(helpers, 1):
+            try:
+                share = receiver.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(
+                    f"replicate helper {k} exited with code {helper.exitcode} "
+                    "without sending its share"
+                ) from None
+            if isinstance(share, BaseException):
+                raise share
+            results[k::workers] = share
+    finally:
+        for helper, receiver in helpers:
+            receiver.close()
+            helper.terminate()
+            helper.join()
     summaries = [s for s, _ in results]
     traces = [t for _, t in results]
 

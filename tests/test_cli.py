@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, precedence rules, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from epimob import (
 )
 from epimob import cli, harness
 from epimob.cli import CELL_PROBS_MAX_CELLS, OUT_DIR_ENV, cli_main
+from epimob.errors import ConfigError
 from epimob.rng import ReplicateStreams
 
 
@@ -104,6 +106,18 @@ def test_nonpositive_workers_fail_before_any_replicate(capsys, monkeypatch, work
     assert cli_main(["run", "--n", "1000", "--workers", workers]) == 2
     assert "workers must be a positive integer" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
+def test_workers_not_a_positive_int_fail_before_any_replicate(tmp_path, monkeypatch, workers):
+    calls = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    out_dir = tmp_path / "out"
+    config = dataclasses.replace(preset_emerging(1000), out_dir=str(out_dir))
+    with pytest.raises(ConfigError, match="^workers must be a positive integer$"):
+        harness.run_replications(config, workers=workers)
+    assert calls == []
+    assert not out_dir.exists()
 
 
 def test_flags_override_config_file(tmp_path, capsys):

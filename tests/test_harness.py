@@ -254,9 +254,11 @@ def test_workers_do_not_change_any_output_byte(tmp_path):
     _assert_workers_write_the_serial_bytes(tmp_path, 4, 4)
 
 
-def test_pool_chunks_do_not_change_any_output_byte(tmp_path):
-    # 19 replicates on 2 workers go out in chunks of 3, the last one short
-    _assert_workers_write_the_serial_bytes(tmp_path, 19, 2)
+def test_uneven_and_capped_shares_do_not_change_any_output_byte(tmp_path):
+    # 19 replicates on 2 processes: the caller runs 10, its helper 9
+    _assert_workers_write_the_serial_bytes(tmp_path / "uneven", 19, 2)
+    # 3 replicates at workers=8: capped at 3 processes, one replicate each
+    _assert_workers_write_the_serial_bytes(tmp_path / "capped", 3, 8)
 
 
 # sha256 of the files a default (count-engine) run writes, as engine_version
@@ -306,7 +308,7 @@ def test_half_beta_run_writes_pinned_bytes(tmp_path, monkeypatch):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
     }
     assert digests == HALF_BETA_RUN_DIGESTS
-    # the pool's workers count nowhere the test sees, so spy on a serial rerun
+    # the helper's calls count nowhere the test sees, so spy on a serial rerun
     calls = {"_sorted_exposure": 0, "_piece_exposure": 0}
     for name in calls:
         real = getattr(dynamics, name)
@@ -471,18 +473,16 @@ def test_run_replications_aggregate_is_consistent():
     assert agg.survivor_fraction.mean == pytest.approx(float(np.mean(fractions)))
 
 
-@pytest.mark.parametrize(
-    "workers",
-    [
-        1,
-        pytest.param(2, marks=pytest.mark.skipif(
-            "fork" not in multiprocessing.get_all_start_methods(),
-            reason="only forked workers inherit the spy",
-        )),
-    ],
+# only forked helpers inherit a monkeypatched spy
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="only forked helpers inherit the spy",
 )
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=fork_only)])
 def test_each_replicate_derives_its_seed_once(tmp_path, monkeypatch, workers):
-    # forked pool workers inherit the spy and append to the same file
+    # forked helpers inherit the spy and append to the same file
     calls = tmp_path / "calls"
 
     def spy(master_seed, replicate):
@@ -495,6 +495,83 @@ def test_each_replicate_derives_its_seed_once(tmp_path, monkeypatch, workers):
     assert sorted(calls.read_text().split()) == ["0", "1", "2"]
     seeds = [s.seed for s in result.summaries]
     assert result.manifest.derived_seeds == seeds == [derive_seed(9, r) for r in range(3)]
+
+
+def _spy_in_helpers(monkeypatch, in_helper) -> None:
+    """Rebind run_replicate so that forked helpers call in_helper instead."""
+    caller = os.getpid()
+    real = harness.run_replicate
+
+    def spy(config, replicate):
+        if os.getpid() == caller:
+            return real(config, replicate)
+        return in_helper(config, replicate)
+
+    monkeypatch.setattr(harness, "run_replicate", spy)
+
+
+@fork_only
+def test_a_helper_exception_is_raised_again(monkeypatch):
+    def fail(config, replicate):
+        raise ValueError(f"replicate {replicate} failed")
+
+    _spy_in_helpers(monkeypatch, fail)
+    # helpers 1 and 2 both fail; the caller reports helper 1's exception
+    with pytest.raises(ValueError, match="^replicate 1 failed$"):
+        run_replications(small_config(seed=9, replications=6), workers=3)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_the_callers_exception_stops_running_helpers(monkeypatch):
+    caller = os.getpid()
+
+    def fail_in_caller(config, replicate):
+        if os.getpid() == caller:
+            raise ValueError("the caller's replicate failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "run_replicate", fail_in_caller)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^the caller's replicate failed$"):
+        run_replications(small_config(seed=9, replications=4), workers=2)
+    # the sleeping helper is terminated, not waited for
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_helper_that_dies_without_sending_raises(monkeypatch):
+    _spy_in_helpers(monkeypatch, lambda config, replicate: os._exit(7))
+    with pytest.raises(RuntimeError, match="helper 1 exited with code 7"):
+        run_replications(small_config(seed=9, replications=4), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_helper_does_not_outlive_a_killed_caller():
+    # the caller SIGKILLs itself; its helper's share (a cell log of about
+    # 300 KB) overfills the pipe, so the helper ends only if its send fails
+    script = """
+import dataclasses, os, signal
+from epimob import harness, preset_emerging
+real, caller = harness.run_replicate, os.getpid()
+def die_in_caller(config, replicate):
+    if os.getpid() == caller:
+        os.kill(caller, signal.SIGKILL)
+    return real(config, replicate)
+harness.run_replicate = die_in_caller
+config = dataclasses.replace(preset_emerging(2000), seed=1, replications=2, log_cells=True)
+harness.run_replications(config, workers=2)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    # output reaches EOF only when the helper, which shares the pipes, has exited too
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == -9
+    assert "BrokenPipeError" in proc.stderr
 
 
 def test_wall_seconds_covers_the_csv_files(tmp_path, monkeypatch):
