@@ -11,7 +11,7 @@ oracles validate the Monte Carlo engine.
 # every manifest as engine_version; it comes before the imports because
 # harness reads it at import time.  Bump it whenever outputs change at
 # fixed seeds.
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 from types import ModuleType as _ModuleType
 

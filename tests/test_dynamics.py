@@ -468,19 +468,20 @@ GOLDEN_TINY = {
     },
 }
 
+# The same for a replicate's own streams, as engine_version 0.8.0 keys them.
 GOLDEN_STREAMS = {
     "reports": [
-        (1, 18, [0, 3, 4, 7, 4], 0),
-        (2, 34, [0, 3, 7, 17, 7], 40),
-        (3, 30, [0, 5, 5, 20, 0], 18),
-        (4, 20, [0, 6, 7, 4, 3], 34),
-        (5, 29, [0, 11, 3, 13, 2], 30),
+        (1, 17, [0, 4, 9, 4, 0], 0),
+        (2, 23, [0, 3, 11, 7, 2], 40),
+        (3, 9, [0, 2, 5, 2, 0], 17),
+        (4, 13, [0, 0, 3, 10, 0], 23),
+        (5, 9, [0, 0, 5, 4, 0], 9),
     ],
-    "status": "4586a2d5738cd935",
-    "infected_at": "cfbd154d937cba83",
-    "current_cell": "c49744f002c68eb3",
-    "movement": "ed42cf3dc092931a",
-    "transmission": "29beaf5e3b8286ef",
+    "status": "8918c4ff35fc49d4",
+    "infected_at": "5c2ff612cea2844e",
+    "current_cell": "6507c40ed8854500",
+    "movement": "7e812cb7189c431a",
+    "transmission": "1176120eb6d43e57",
 }
 
 

@@ -38,7 +38,14 @@ from epimob import (
 from epimob import dynamics, harness
 from epimob import rng as rng_module
 from epimob.harness import _stat_summary
-from epimob.rng import ROLE_GRID, ROLE_INIT, ROLE_MOVEMENT, ROLE_TRANSMISSION, substream
+from epimob.rng import (
+    ROLE_GRID,
+    ROLE_INIT,
+    ROLE_MOVEMENT,
+    ROLE_SEED,
+    ROLE_TRANSMISSION,
+    substream,
+)
 
 
 def small_config(**kw):
@@ -74,31 +81,27 @@ def test_lazy_streams_equal_eager_substreams():
     assert streams.movement.random() == substream(42, 3, ROLE_MOVEMENT).random(9)[8]
 
 
-@given(
-    master_seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**128, 2**200)),
-    replicate=st.one_of(st.integers(0, 2**16), st.integers(2**32 - 2, 2**64)),
-)
-def test_streams_match_numpy_seed_sequence_bit_for_bit(master_seed, replicate):
-    ref = np.random.SeedSequence(master_seed, spawn_key=(replicate,))
-    assert derive_seed(master_seed, replicate) == int(ref.generate_state(1, np.uint64)[0])
+@given(master_seed=st.integers(0, 2**64 - 1), replicate=st.integers(0, 2**64 - 1))
+def test_streams_are_philox_jumped_by_replicate_and_role(master_seed, replicate):
     for role in range(4):
-        ref = np.random.SeedSequence(master_seed, spawn_key=(replicate, role))
         gen = substream(master_seed, replicate, role)
-        key = gen.bit_generator.state["state"]["key"]
-        np.testing.assert_array_equal(key, ref.generate_state(2, np.uint64))
-        np.testing.assert_array_equal(
-            gen.bit_generator.seed_seq.generate_state(5), ref.generate_state(5)
-        )
-        reference = np.random.Generator(np.random.Philox(ref))
+        reference = np.random.Philox(key=master_seed).jumped(replicate + 2**64 * role)
+        assert gen.bit_generator.state["state"]["counter"].tolist() == [0, 0, replicate, role]
+        np.testing.assert_equal(gen.bit_generator.state, reference.state)
+        reference = np.random.Generator(reference)
         assert gen.integers(2**63, size=3).tolist() == reference.integers(2**63, size=3).tolist()
+    seeded = np.random.Philox(key=master_seed).jumped(replicate + 2**64 * ROLE_SEED)
+    assert derive_seed(master_seed, replicate) == seeded.random_raw()
 
 
-def test_stream_derivation_rejects_negative_words():
-    for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
-        with pytest.raises(ValueError):
-            substream(*args)
-    with pytest.raises(ValueError):
-        derive_seed(-1, 0)
+def test_stream_derivation_rejects_words_outside_64_bits():
+    for word in (-1, 2**64):
+        for args in ((word, 0, 0), (0, word, 0), (0, 0, word)):
+            with pytest.raises(ValueError):
+                substream(*args)
+        for args in ((word, 0), (0, word)):
+            with pytest.raises(ValueError):
+                derive_seed(*args)
 
 
 def test_substreams_pickle_and_do_not_spawn():
@@ -143,7 +146,7 @@ def test_written_manifest_names_version_and_engine(tmp_path):
         out_dir = tmp_path / engine
         run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["engine_version"] == epimob.__version__ == "0.7.1"
+        assert manifest["engine_version"] == epimob.__version__ == "0.8.0"
         assert manifest["engine"] == engine
 
 
@@ -262,13 +265,13 @@ def test_uneven_and_capped_shares_do_not_change_any_output_byte(tmp_path):
 
 
 # sha256 of the files a default (count-engine) run writes, as engine_version
-# 0.7.0 wrote them: a change in any count-engine draw or in the CSV formats fails
+# 0.8.0 wrote them: a change in any count-engine draw or in the CSV formats fails
 DEFAULT_RUN_DIGESTS = {
-    "summary.csv": "e17aea3f0f70cd8fe7eff60112ecf10ad4517d90453521315bde1d7d819c4cc8",
-    "trace_0000.csv": "4be0199bd6a9905050c33b281eed3d76e7c614f481f471ef1bb1e88c82425add",
-    "trace_0001.csv": "132f69cf857cbed011dfcfae1972bfc8776ad15ae8cc1a84f7e6586d1bf498e7",
-    "trace_0002.csv": "10e03b4e85ade876eace6855fe4dc9f74bfa2032fd60f10e1e0d6e79eca02fcf",
-    "trace_0003.csv": "9419ac846cd141294b0a12eec9ba69dfe756b5be56d3039619bd7b5005f99e48",
+    "summary.csv": "a09afb2523ba0cd25910ae815c0cea3aafd368c729f6fbb9df26759d90616003",
+    "trace_0000.csv": "ab62b305bbe073538df3642b78b7736cb749dea15d55701ce656c9c414ea6942",
+    "trace_0001.csv": "583e5a695db42bd1be5c2631fd33363c22eca8450e50a36be355063a3ceb8289",
+    "trace_0002.csv": "b13098f4f989a01f80068211517b0c0987d5bd3edf169f350bf07c40dcc30e56",
+    "trace_0003.csv": "7a7e793cd3991b6f96a57bba82abe821ef8d54f2fa45df3349193fdf26c943a0",
 }
 
 
@@ -286,14 +289,14 @@ def test_default_run_writes_pinned_bytes(tmp_path):
 
 
 # sha256 of the files a default run writes at beta = 0.5 and tau = 3, as
-# engine_version 0.7.0 wrote them: below beta = 1 both placement paths sum
+# engine_version 0.8.0 wrote them: below beta = 1 both placement paths sum
 # infection probabilities of hit counts, which the beta = 1 digests never reach
 HALF_BETA_RUN_DIGESTS = {
-    "summary.csv": "fdcba9ed8d424c4d339f0878bf6e3b861789ce1661a096775ce242ae3a962b9b",
-    "trace_0000.csv": "273a40b0adc26aacbd2472170ad667d2f421aeabb3e36e6b8272b5db904c17e4",
-    "trace_0001.csv": "9e835147e61071dd9ddc9894c590e92ae70a8717aeb09c0524b1830468312332",
-    "trace_0002.csv": "79fbc74a8e4da3afa6991e6411e625faf916bd6fefd3d42e0c6409700a8c729a",
-    "trace_0003.csv": "eae5c78ef7649b38cac2b375eab26bc13d83028200b75bf76c7e5d880c155252",
+    "summary.csv": "af78bfc2b0ad8056294b410f322f3b5b8e1f537eca0e54ad4c3d343f71392679",
+    "trace_0000.csv": "1ff32f98c50afae0be45956f790497f739ffd4a159cd35a10c3b738266726ec0",
+    "trace_0001.csv": "82ebaefa68694f1c8f7b255f29b23c47c8fb2080feca46509879c78137815ac3",
+    "trace_0002.csv": "15a560abe1c55c6a5fdea12cf3a456d2be6dffd2e831383b71cef822664e67b4",
+    "trace_0003.csv": "4147ecae851865b6fd51f80af8c5d114216e5b85cf107dc76b2b1e3c34770d3a",
 }
 
 
@@ -323,19 +326,19 @@ def test_half_beta_run_writes_pinned_bytes(tmp_path, monkeypatch):
 
 
 # sha256 of the files a per-node (log_cells) run writes, with and without the
-# 2% awareness trigger, as engine_version 0.7.0 wrote them
+# 2% awareness trigger, as engine_version 0.8.0 wrote them
 LOGGED_RUN_DIGESTS = {
     "plain": {
-        "summary.csv": "ffbc62619042d3487677e2d3174c2ebd74edab6039f6407c93d2e20b7a3cad49",
-        "trace_0000.csv": "8172a301bb3c03d1c15463165965c6970f766f7fbb87d7520f48e4971ecf4001",
-        "trace_0001.csv": "6ae195affb051b033f59fd282569b632ac66f783d7144acef0b8c97c1f6f1b96",
-        "trace_0002.csv": "144b14611cfec53e4b0737c52820c1aab40bb06231d8c38f056697a6ea58692b",
+        "summary.csv": "3ef51f0eaa46ca65ed06e7c0500c78c43351fd3d9113c3aa72285d3df6956e6d",
+        "trace_0000.csv": "557c4fe255076877ac20cc23a542b4e87e351aac90765c55e041aaf63d3f88fc",
+        "trace_0001.csv": "0df7bf83079aeb494ac39befbd3fed794668a87f5a598beed67d971e9d1f2275",
+        "trace_0002.csv": "5a99859d0bd2f575734dd6365e427dcee9279ee9ab00b05ed60ffe7b1e205f1e",
     },
     "awareness": {
-        "summary.csv": "c32041d323eb8bd1d0fb31a5d149db8a24a66cd9ea6c15ae716b3b40375a8a06",
-        "trace_0000.csv": "4b6e929d408a00567478f034f750b43d033e734cb86503cf5f9639d41c06655c",
-        "trace_0001.csv": "fd6fd9328bd515cd391c2e566ad0b4a5dc28eb86e9d2d021a9cb5c317ff3b21c",
-        "trace_0002.csv": "894e0ac6431b9745d2cefe42b91711b2ff7bd36f2fe4621363f517bd81440c9b",
+        "summary.csv": "f94d442aff85f908d028ee9c7d944d9a334a314575ea6e74c267b52a379f7922",
+        "trace_0000.csv": "fd8f9a8e05082cc24ac6947beca4055fca2de811459e8a94c536e49069b4ffb3",
+        "trace_0001.csv": "e98ebc01283ee6cc922fc60e35596e80be2eabb86620fdef0dcedffdb4410d3b",
+        "trace_0002.csv": "38ca29a1ee053f36ffa1b700dae62d51f34a21f763dafddb8a0a34af309870de",
     },
 }
 
@@ -400,6 +403,21 @@ def test_manifest_reproduces_the_config():
     assert manifest.config_text == serialize_config(config)
     parsed = json.loads(manifest.to_json())
     assert parsed["master_seed"] == 5
+
+
+def test_manifest_records_when_each_trigger_fired(tmp_path):
+    aware = Trigger(PrevalenceReached(0.02), ParamOverlay(alpha=6.0, kappa=16.0, tau=2))
+    late = Trigger(TimeReached(10**6), ParamOverlay(tau=1))
+    config = dataclasses.replace(
+        preset_emerging(2000), seed=4, replications=3,
+        schedule=InterventionSchedule((aware, late)), out_dir=str(tmp_path),
+    )
+    result = run_replications(config)
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert written["fired_steps"] == result.manifest.fired_steps
+    assert written["fired_steps"] == [list(s.fired_steps) for s in result.summaries]
+    assert all(isinstance(aware_step, int) for aware_step, _ in written["fired_steps"])
+    assert [late_step for _, late_step in written["fired_steps"]] == [None] * 3
 
 
 def test_time_trigger_fires_at_its_step():
