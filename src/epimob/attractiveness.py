@@ -292,17 +292,18 @@ class CellGrid:
         if sizes.min() < 1:
             raise ValueError("every class must hold at least one cell")
         # Python integers: the int64 sums below must not wrap before the check
-        if sum(sizes.tolist()) * int(values[-1]) >= 2**63:
+        num_cells = sum(sizes.tolist())
+        if num_cells * int(values[-1]) >= 2**63:
             raise ValueError("grid too large: num_cells * the largest weight must be below 2**63")
-        weight = values * sizes
-        cells_end = sizes.cumsum()
-        weight_end = weight.cumsum()
-        self.num_cells = int(cells_end[-1])
-        self.total_weight = int(weight_end[-1])
+        # row 0 counts cells and row 1 weight, so one running total gives both
+        # ends, and the ends less the class's own share give both starts
+        per_class = np.array((sizes, values * sizes))
+        ends = np.add.accumulate(per_class, axis=1)
+        self.start, self.weight_start = ends - per_class
+        self.num_cells = num_cells
+        self.total_weight = int(ends[1, -1])
         self.band = np.frexp(values)[1] - 1
         self.num_bands = int(values[-1]).bit_length()
-        self.start = cells_end - sizes
-        self.weight_start = weight_end - weight
         # below 2**63: start * v < K * values[-1], checked above
         self.base = self.start * values - self.weight_start
         bits = (BUCKETS_PER_CLASS * values.size - 1).bit_length()

@@ -51,6 +51,7 @@ Both engines take one CellGrid; only step() makes it build its per-cell views.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -147,7 +148,9 @@ def substep_transmit(
     if infected is None:
         infected = status == INFECTED
     m = np.bincount(cells[infected], minlength=grid.num_cells)[cells]
-    newly = np.logical_and(m, status == UNINFECTED).nonzero()[0]
+    # logical_not(status) is status == UNINFECTED, UNINFECTED being 0, and
+    # skips comparing an int8 array with a Python int
+    newly = np.logical_and(m, np.logical_not(status)).nonzero()[0]
     if params.beta < 1.0 and newly.size:
         newly = newly[rng.random(newly.size) < _infection_probability(m[newly], params.beta)]
     if newly.size:
@@ -165,7 +168,11 @@ def substep_recover(
     retires the same nodes as a fresh one: a node infected in this step has
     infected_at == step, never tau >= 1 steps old.  The comparison is <=, not
     ==, so a mid-run reduction of tau retires overdue nodes at the next step.
+    Every infected node has infected_at >= 0, so before step tau none is due
+    and nothing is read.
     """
+    if state.step < params.tau:
+        return 0
     if infected is None:
         infected = state.status == INFECTED
     done = (infected & (state.infected_at <= state.step - params.tau)).nonzero()[0]
@@ -202,7 +209,10 @@ def step(
     infected = state.status == INFECTED
     newly = substep_transmit(state, grid, params, transmit_rng, infected)
     retired = substep_recover(state, params, infected)
-    by_group = np.bincount(grid.cell_group[state.current_cell[newly]], minlength=grid.num_bands)
+    if newly.size:
+        by_group = np.bincount(grid.cell_group[state.current_cell[newly]], minlength=grid.num_bands)
+    else:
+        by_group = np.zeros(grid.num_bands, dtype=np.intp)
     return StepReport(
         step=state.step,
         new_infections_total=newly.size,
@@ -241,19 +251,35 @@ class CountState:
 # large |I| is.
 CHUNK_PLACEMENTS = 2**16
 
+# _probability_table holds hit counts 0 .. TABLE_HITS - 1; a cell with more
+# infectious nodes is rare, and such a call builds a table of its own
+TABLE_HITS = 65
+
+
+@lru_cache(maxsize=16)
+def _probability_table(beta: float) -> tuple[np.floating, np.ndarray]:
+    """log1p(-beta) and 1 - (1 - beta) ** h for h < TABLE_HITS, read-only as it is shared."""
+    log_miss = np.log1p(-beta)
+    table = -np.expm1(log_miss * np.arange(TABLE_HITS))
+    table.flags.writeable = False
+    return log_miss, table
+
 
 def _infection_probability(hits: np.ndarray, beta: float) -> np.ndarray:
     """1 - (1 - beta) ** hits, elementwise; a bool array when beta is 1.
 
-    Both engines call it.  Below 1 a long array (the sparse count step's hit
-    counts) looks the values up per distinct hit count; the float64 product
-    log1p(-beta) * h, and so each value, is the same either way.
+    Both engines call it.  Below 1 the values are -expm1(log1p(-beta) * h),
+    looked up in _probability_table, or in a table built up to hits.max()
+    when a count lies beyond it.  Each value is the same float64 either
+    way, as the product log1p(-beta) * h is.
     """
     if beta >= 1.0:
         return hits > 0
-    if hits.size > 64:
-        return -np.expm1(np.log1p(-beta) * np.arange(hits.max() + 1))[hits]
-    return -np.expm1(np.log1p(-beta) * hits)
+    log_miss, table = _probability_table(beta)
+    try:
+        return table[hits]
+    except IndexError:
+        return -np.expm1(log_miss * np.arange(hits.max() + 1))[hits]
 
 
 def _class_exposure(

@@ -64,7 +64,9 @@ class TraceBuilder:
             raise ValueError("num_groups must be at least 1")
         u, i, r = initial_counts
         self._num_groups = num_groups
-        self._rows = [(0, i, u, r, 0, (0,) * num_groups, 0)]
+        # one flat row a step: step, I, U, R, new_total, the band columns,
+        # recovered, in the trace CSV's column order
+        self._rows = [(0, i, u, r, 0, *(0,) * num_groups, 0)]
         self._cell_rows: list[np.ndarray] = []
         self._infectious_rows: list[np.ndarray] = []
 
@@ -86,7 +88,8 @@ class TraceBuilder:
                 u,
                 r,
                 report.new_infections_total,
-                (*bands, *(0,) * (width - len(bands))),
+                *bands,
+                *(0,) * (width - len(bands)),
                 report.newly_recovered,
             )
         )
@@ -99,9 +102,12 @@ class TraceBuilder:
     def finalize(
         self, extinction_step: Optional[int], cap_reached: bool
     ) -> SimulationTrace:
-        # a row holds SimulationTrace's first seven fields, in order
+        # one table, whose columns are SimulationTrace's first seven fields
+        table = np.array(self._rows, dtype=np.int64)
         return SimulationTrace(
-            *(np.array(column, dtype=np.int64) for column in zip(*self._rows)),
+            *table[:, :5].T,
+            table[:, 5:-1],
+            table[:, -1],
             extinction_step=extinction_step,
             cap_reached=cap_reached,
             cell_log=np.array(self._cell_rows) if self._cell_rows else None,
@@ -140,14 +146,11 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         + ",".join(f"new_g{k}" for k in range(1, width + 1))
         + ",recovered"
     )
-    lines = [header]
-    for row in range(trace.steps.size):
-        groups = ",".join(str(int(x)) for x in trace.new_by_group[row])
-        lines.append(
-            f"{trace.steps[row]},{trace.infected[row]},{trace.uninfected[row]},"
-            f"{trace.recovered[row]},{trace.new_total[row]},{groups},"
-            f"{trace.newly_recovered[row]}"
-        )
+    table = np.column_stack(
+        (trace.steps, trace.infected, trace.uninfected, trace.recovered, trace.new_total,
+         trace.new_by_group, trace.newly_recovered)
+    )
+    lines = [header, *(",".join(map(str, row)) for row in table.tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -61,6 +61,10 @@ TriggerCondition = Union[TimeReached, PrevalenceReached]
 # overlay keys allowed on the right-hand side of a trigger
 _OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 
+# params objects an overlay keeps merged results for; a schedule reaches at
+# most 16 parameter sets (InterventionSchedule.reachable)
+MERGED_KEPT = 16
+
 
 # serialize_config writes out_dir=<path> on one line, which parse_config cuts
 # at '#' and strips, so only such paths survive the round trip; no OS path
@@ -97,6 +101,8 @@ class ParamOverlay:
     kappa: Optional[float] = None
     tau: Optional[int] = None
     beta: Optional[float] = None
+    # id(params) -> (params, merged params), filled by merge
+    _merged: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         changes = self._changes()
@@ -109,8 +115,22 @@ class ParamOverlay:
         return {k: getattr(self, k) for k in _OVERLAY_KEYS if getattr(self, k) is not None}
 
     def merge(self, params: EpidemicParams) -> EpidemicParams:
-        """New params with the overlay applied; revalidates every invariant."""
-        return dataclasses.replace(params, **self._changes())
+        """New params with the overlay applied; revalidates every invariant.
+
+        A run fires its overlays on the same params objects in every
+        replicate, so the result is kept per params object and validated
+        once.  Objects, not equal values: equal params may differ in type
+        (kappa=1 against kappa=1.0), and so in what they compute.
+        """
+        hit = self._merged.get(id(params))
+        # an id names one object only among live ones, and a pickled overlay
+        # carries its old process's ids, so a hit must hold params itself
+        if hit is None or hit[0] is not params:
+            if len(self._merged) >= MERGED_KEPT:
+                self._merged.clear()
+            merged = dataclasses.replace(params, **self._changes())
+            hit = self._merged[id(params)] = (params, merged)
+        return hit[1]
 
 
 @dataclass(frozen=True)

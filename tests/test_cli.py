@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epimob import (
@@ -386,6 +386,9 @@ _FLAGS = st.lists(
     n=st.one_of(st.none(), st.integers(90, 300).map(str), _VALUES),
     flags=_FLAGS,
 )
+# a replicate count beyond 63 bits must reach run itself, past the fixed count
+@example(command="run", config=b"n=200\n", n=None,
+         flags=[("--replications", "100000000000000000000")])
 def test_malformed_input_never_gives_a_traceback(tmp_path_factory, command, config, n, flags):
     work = tmp_path_factory.mktemp("fuzz")
     cfg = work / "fuzz.cfg"
@@ -395,10 +398,14 @@ def test_malformed_input_never_gives_a_traceback(tmp_path_factory, command, conf
     else:
         # with n unset the config file is the source
         argv = [command, *(["--config", str(cfg)] if n is None else ["--n", n])]
+        if command == "run":
+            # argparse keeps a flag's last value, so a fuzzed --replications
+            # after this one reaches run
+            argv += ["--replications", "2"]
         argv += [part for flag in flags for part in flag]
         if command == "run":
-            # flags override the file: small runs, written under the fuzz directory
-            argv += ["--max-steps", "20", "--replications", "2", "--out-dir", str(work / "out")]
+            # flags override the file: short runs, written under the fuzz directory
+            argv += ["--max-steps", "5", "--out-dir", str(work / "out")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli_main(argv)

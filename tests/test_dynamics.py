@@ -213,6 +213,23 @@ def test_recover_timeline():
     assert state.status[0] == RECOVERED
 
 
+@pytest.mark.parametrize("tau", [1, 2, 5])
+def test_recover_retires_cohort_zero_at_step_tau_not_before(tau):
+    # before step tau substep_recover returns without reading a node; cohort 0
+    # must still be retired at step tau exactly, with or without a shared mask
+    params = small_params(3, tau=tau)
+    for shared in (False, True):
+        state = make_state(
+            [INFECTED, INFECTED, UNINFECTED], [0, 0, NEVER_INFECTED], [0, 0, 0], tau - 1
+        )
+        mask = state.status == INFECTED if shared else None
+        assert substep_recover(state, params, mask) == 0
+        assert state.status.tolist() == [INFECTED, INFECTED, UNINFECTED]
+        state.step = tau
+        assert substep_recover(state, params, mask) == 2
+        assert state.status.tolist() == [RECOVERED, RECOVERED, UNINFECTED]
+
+
 def test_recover_catches_up_after_tau_reduction():
     params = small_params(2, tau=1)
     # infected long ago; a shortened tau retires them at the next pass
@@ -492,6 +509,24 @@ def test_step_draws_match_golden_bare_generator(beta):
 
 def test_step_draws_match_golden_replicate_streams():
     assert _streams_golden() == GOLDEN_STREAMS
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1 - 1e-12])
+@pytest.mark.parametrize("hits", [
+    np.array([1, 2]),
+    np.arange(64) % 7,
+    np.arange(300) % 13,
+    np.array([0, 3, dynamics.TABLE_HITS - 1, dynamics.TABLE_HITS, 500]),
+    np.arange(dynamics.TABLE_HITS + 40),
+], ids=["two", "64-short", "300-long", "beyond-table", "long-beyond-table"])
+def test_cached_infection_probability_is_the_uncached_formula_bit_for_bit(beta, hits):
+    # the per-beta table (and its fallback past TABLE_HITS) must give the
+    # float64 bits of the formula it replaced, on both the first and a cached call
+    want = -np.expm1(np.log1p(-beta) * hits)
+    for _ in range(2):
+        got = _infection_probability(hits, beta)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.999])

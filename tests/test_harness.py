@@ -467,18 +467,22 @@ def test_trigger_that_never_fires_reports_none():
 
 def test_shortening_tau_retires_overdue_infections_next_step():
     # at step 5 the overlay drops tau from 50 to 1; the initial infections
-    # (age 5 > 1) must all retire during step 6
-    config = small_config(
-        n=200,
-        beta=0.0,
-        tau=50,
-        max_steps=30,
-        initial_infected=5,
-        schedule=InterventionSchedule((Trigger(TimeReached(5), ParamOverlay(tau=1)),)),
-    )
-    summary, trace = run_replicate(config, 0)
-    assert summary.extinction_step == 6
-    np.testing.assert_array_equal(trace.infected, [5, 5, 5, 5, 5, 5, 0])
+    # (age 5 > 1) must all retire during step 6.  Steps 1-5 lie before step
+    # tau = 50, where the per-node engine skips its retire pass
+    for log_cells in (False, True):
+        config = small_config(
+            n=200,
+            beta=0.0,
+            tau=50,
+            max_steps=30,
+            initial_infected=5,
+            log_cells=log_cells,
+            schedule=InterventionSchedule((Trigger(TimeReached(5), ParamOverlay(tau=1)),)),
+        )
+        summary, trace = run_replicate(config, 0)
+        assert summary.extinction_step == 6, log_cells
+        np.testing.assert_array_equal(trace.infected, [5, 5, 5, 5, 5, 5, 0])
+        np.testing.assert_array_equal(trace.newly_recovered, [0, 0, 0, 0, 0, 0, 5])
 
 
 def test_run_replications_aggregate_is_consistent():

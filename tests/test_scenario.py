@@ -116,6 +116,20 @@ def test_overlay_merge_keeps_unset_fields():
     assert (merged.n, merged.alpha, merged.kappa, merged.beta) == (1000, 2.8, 1.0, 0.8)
 
 
+def test_overlay_merge_is_kept_per_params_object():
+    overlay = ParamOverlay(tau=5)
+    params = EpidemicParams(n=1000, alpha=2.8, kappa=1.0, tau=3)
+    assert overlay.merge(params) is overlay.merge(params)
+    # equal params of another type get their own merge, which keeps that type
+    as_int = EpidemicParams(n=1000, alpha=2.8, kappa=1, tau=3)
+    assert as_int == params
+    assert type(overlay.merge(as_int).kappa) is int
+    assert type(overlay.merge(params).kappa) is float
+    # the kept results play no part in equality, hashing or repr
+    assert overlay == ParamOverlay(tau=5) and hash(overlay) == hash(ParamOverlay(tau=5))
+    assert repr(overlay) == "ParamOverlay(alpha=None, kappa=None, tau=5, beta=None)"
+
+
 def test_overlay_merge_revalidates_cross_field_invariants():
     # alpha so large the attractiveness support would collapse below 2
     params = EpidemicParams(n=100, alpha=2.8, kappa=1.0, tau=1)
