@@ -5,12 +5,12 @@ streams derived purely from (s, r): grid, init, movement, transmission.
 run_replicate is one loop over either engine's state and step function:
 the count-level engine by default, the per-node engine when log_cells is
 set.  With N processes, replicate r runs in process r mod N: the calling
-process runs its own share and N - 1 forked helpers run theirs.  Replicates
-therefore produce identical bytes at every N, and the manifest (config text
-plus master seed) fully determines every output byte except wall-clock
-metadata.  The loop calls build_grid, init_population, step,
-apply_intervention and the CSV writers through this module's globals, so
-they can be rebound from outside, for example to trace each layer.
+process runs its own share and N - 1 forked helpers run theirs, each writing
+its replicates' trace files.  Outputs are therefore identical at every N, and
+the manifest (config text plus master seed) fixes every output byte but
+wall-clock metadata.  The loop calls build_grid, init_population, step,
+apply_intervention and the CSV writers through this module's globals, so they
+can be rebound from outside, for example to trace each layer.
 """
 
 from __future__ import annotations
@@ -140,14 +140,14 @@ def aggregate_stats(summaries, n: int) -> AggregateStats:
 def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSummary, SimulationTrace]:
     """Run one replicate to extinction or the step cap.
 
-    The count-level engine (count_step on a CountState) runs by default; with
-    log_cells the per-node one (step on init_population's state) runs and
-    each step's cells and infectious mask go into the trace.  Triggers are
-    evaluated at step 0 and after every completed step; each fires at most
-    once, merging its overlay onto the params then in effect and drawing a
-    fresh grid (apply_intervention).  So overlays apply in firing order,
-    which need not be list order when time and prevalence triggers
-    interleave; config.band_width already covers every such order.
+    With log_cells, each step's cells and infectious mask also go into the
+    trace.  Triggers are evaluated at step 0 and after every completed
+    step; each fires at most once, merging its overlay onto the params then
+    in effect and drawing a fresh grid (apply_intervention).  So overlays
+    apply in firing order, which need not be list order when time and
+    prevalence triggers interleave; config.band_width already covers every
+    such order.  With config.out_dir set, the trace goes to
+    trace_<replicate>.csv there, a directory that run_replications creates.
     """
     streams = ReplicateStreams.from_seed(config.seed, replicate)
     params = config.params
@@ -180,17 +180,18 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
         builder.record(report, counts)
         fire_due()
 
-    extinct = counts.infected == 0
-    extinction_step = state.step if extinct else None
-    trace = builder.finalize(extinction_step=extinction_step, cap_reached=not extinct)
+    trace = builder.finalize()
     summary = ReplicateSummary(
         replicate=replicate,
         seed=derive_seed(config.seed, replicate),
-        extinction_step=extinction_step,
-        ever_infected=params.n - counts.uninfected,
-        survivors=counts.uninfected,
+        extinction_step=trace.extinction_step,
+        ever_infected=trace.ever_infected,
+        survivors=trace.survivors,
         fired_steps=tuple(fired),
     )
+    if config.out_dir is not None:
+        digits = max(4, len(str(config.replications - 1)))
+        write_trace_csv(trace, os.path.join(config.out_dir, f"trace_{replicate:0{digits}d}.csv"))
     return summary, trace
 
 
@@ -220,8 +221,8 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     each replicate's streams depend only on (master seed, replicate index).
     A helper's exception is raised again here; a helper that dies without
     sending its share raises RuntimeError.  No helper outlives the call.
-    When config.out_dir is set, writes trace_<replicate>.csv per replicate
-    plus summary.csv and manifest.json.
+    When config.out_dir is set, each replicate writes its own trace file, and
+    summary.csv and manifest.json follow once every share is in.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
@@ -267,10 +268,6 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     traces = [t for _, t in results]
 
     if config.out_dir is not None:
-        digits = max(4, len(str(config.replications - 1)))
-        for summary, trace in results:
-            name = f"trace_{summary.replicate:0{digits}d}.csv"
-            write_trace_csv(trace, os.path.join(config.out_dir, name))
         write_summary_csv(summaries, os.path.join(config.out_dir, "summary.csv"))
 
     # built after the CSVs are written, so wall_seconds covers their cost

@@ -20,7 +20,8 @@ class SimulationTrace:
     Arrays are indexed by step, so steps[j] == j.  new_by_group has one
     column per attractiveness band starting at band 1, as many as the
     highest band of any parameter set the run's config can reach
-    (ScenarioConfig.band_width).
+    (ScenarioConfig.band_width).  The last row alone says how the run ended:
+    extinct at its step if no node is infected there, else capped.
 
     cell_log / infectious_log, set by per-node (log_cells) runs, hold one row per executed step
     (row j - 1 describes step j): the post-move cell of every node and
@@ -34,8 +35,6 @@ class SimulationTrace:
     new_total: np.ndarray
     new_by_group: np.ndarray
     newly_recovered: np.ndarray
-    extinction_step: Optional[int]
-    cap_reached: bool
     cell_log: Optional[np.ndarray] = None
     infectious_log: Optional[np.ndarray] = None
 
@@ -54,6 +53,14 @@ class SimulationTrace:
     @property
     def last_step(self) -> int:
         return int(self.steps[-1])
+
+    @property
+    def cap_reached(self) -> bool:
+        return bool(self.infected[-1])
+
+    @property
+    def extinction_step(self) -> Optional[int]:
+        return None if self.cap_reached else self.last_step
 
 
 class TraceBuilder:
@@ -99,21 +106,15 @@ class TraceBuilder:
         self._cell_rows.append(np.asarray(cells, dtype=np.int64))
         self._infectious_rows.append(np.asarray(infectious_mask, dtype=bool))
 
-    def finalize(
-        self, extinction_step: Optional[int], cap_reached: bool
-    ) -> SimulationTrace:
+    def finalize(self) -> SimulationTrace:
         # one table, whose columns are SimulationTrace's first seven fields
         table = np.array(self._rows, dtype=np.int64)
         return SimulationTrace(
             *table[:, :5].T,
             table[:, 5:-1],
             table[:, -1],
-            extinction_step=extinction_step,
-            cap_reached=cap_reached,
             cell_log=np.array(self._cell_rows) if self._cell_rows else None,
-            infectious_log=np.array(self._infectious_rows)
-            if self._infectious_rows
-            else None,
+            infectious_log=np.array(self._infectious_rows) if self._infectious_rows else None,
         )
 
 

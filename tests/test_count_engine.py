@@ -235,6 +235,47 @@ def test_sparse_step_places_nodes_with_choose_cells():
         assert step_rng.random() == direct_rng.random(), (case, beta)
 
 
+def _exact_q_moments(grid: CellGrid, infectious: int, beta: float) -> tuple[float, float]:
+    """E[Q] and E[Q**2] for Q = sum_v p_v X_v, where X_v = 1 - (1 - beta) ** m_v.
+
+    With a_v = (1 - beta p_v) ** |I|: E[X_v] = 1 - a_v, E[X_v X_w] =
+    1 - a_v - a_w + (1 - beta p_v - beta p_w) ** |I| for v != w, and
+    E[X_v**2] = 1 - 2 a_v + (1 - (2 beta - beta**2) p_v) ** |I|.  Summed per
+    class: n_c n_d pairs of distinct cells across classes c != d, and
+    n_c (n_c - 1) inside class c.
+    """
+    n = grid.sizes.astype(float)
+    p = grid.values / grid.total_weight
+    a = (1 - beta * p) ** infectious
+    cross = 1 - a[:, None] - a + (1 - beta * p[:, None] - beta * p) ** infectious
+    same = 1 - 2 * a + (1 - (2 * beta - beta**2) * p) ** infectious
+    pairs = np.outer(n, n) - np.diag(n)
+    second = np.outer(p, p) * (pairs * cross + np.diag(n * same))
+    return float(np.sum(n * p * (1 - a))), float(second.sum())
+
+
+def test_exact_q_moments_match_the_enumerated_factorial_moments():
+    # given the infectious placement each of |U| nodes is infected with
+    # probability Q, independently: E[new] = |U| E[Q] and
+    # E[new (new - 1)] = |U| (|U| - 1) E[Q**2]
+    gen = np.random.default_rng(4103)
+    for _ in range(40):
+        weights = [int(w) for w in gen.integers(2, 9, size=int(gen.integers(1, 7)))]
+        i_count, u_count, r_count = (int(c) for c in gen.integers([1, 1, 0], [4, 4, 3]))
+        beta = float(gen.choice([1.0, 0.5, 0.3]))
+        grid = CellGrid.from_weights(weights)
+        statuses = [INFECTED] * i_count + [UNINFECTED] * u_count + [RECOVERED] * r_count
+        pmf = enumerate_step(grid, statuses, beta)
+        new = np.arange(pmf.size)
+        mean, second = _exact_q_moments(grid, i_count, beta)
+        case = (weights, statuses, beta)
+        np.testing.assert_allclose(pmf @ new, u_count * mean, rtol=1e-12, err_msg=str(case))
+        np.testing.assert_allclose(
+            pmf @ (new * (new - 1)), u_count * (u_count - 1) * second, rtol=1e-12, atol=1e-15,
+            err_msg=str(case),
+        )
+
+
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 @pytest.mark.parametrize("infectious, sorted_path", [(2000, True), (50_000, False)])
 def test_one_step_exposure_has_the_exact_mean_at_real_k(infectious, sorted_path, beta):
@@ -254,6 +295,9 @@ def test_one_step_exposure_has_the_exact_mean_at_real_k(infectious, sorted_path,
     ]
     z = (np.mean(q) - exact) / (np.std(q, ddof=1) / np.sqrt(len(q)))
     assert abs(z) <= 4.0, (exact, np.mean(q), z)
+    # the same draws against the exact variance E[Q**2] - E[Q]**2
+    ratio = np.var(q, ddof=1) / (_exact_q_moments(grid, infectious, beta)[1] - exact**2)
+    assert 0.7 <= ratio <= 1.4, ratio
 
 
 def test_segment_step_draws_are_pinned():

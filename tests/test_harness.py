@@ -519,6 +519,30 @@ def test_each_replicate_derives_its_seed_once(tmp_path, monkeypatch, workers):
     assert result.manifest.derived_seeds == seeds == [derive_seed(9, r) for r in range(3)]
 
 
+@fork_only
+def test_each_trace_file_is_written_by_the_process_that_ran_it(tmp_path, monkeypatch):
+    # forked helpers inherit the spy and append to the same file
+    writers = tmp_path / "writers"
+
+    def spy(trace, path):
+        with open(writers, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.path.basename(path)} {os.getpid()}\n")
+        write_trace_csv(trace, path)
+
+    write_trace_csv = harness.write_trace_csv
+    monkeypatch.setattr(harness, "write_trace_csv", spy)
+    out = tmp_path / "out"
+    run_replications(small_config(seed=9, replications=4, out_dir=str(out)), workers=2)
+    pid = dict(line.split() for line in writers.read_text().splitlines())
+    assert sorted(pid) == [f"trace_000{r}.csv" for r in range(4)]
+    caller = str(os.getpid())
+    assert pid["trace_0000.csv"] == pid["trace_0002.csv"] == caller
+    assert pid["trace_0001.csv"] == pid["trace_0003.csv"] != caller
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "summary.csv", *sorted(pid)
+    ]
+
+
 def _spy_in_helpers(monkeypatch, in_helper) -> None:
     """Rebind run_replicate so that forked helpers call in_helper instead."""
     caller = os.getpid()

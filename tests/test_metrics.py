@@ -37,8 +37,6 @@ def _trace(infected):
         new_total=np.zeros(m, dtype=np.int64),
         new_by_group=np.zeros((m, 3), dtype=np.int64),
         newly_recovered=np.zeros(m, dtype=np.int64),
-        extinction_step=m - 1 if infected[-1] == 0 else None,
-        cap_reached=infected[-1] != 0,
     )
 
 
@@ -62,7 +60,7 @@ def _report(s, total, by_group, recovered=0):
 def test_builder_initial_row_and_append():
     builder = TraceBuilder((8, 2, 0), num_groups=3)
     builder.record(_report(1, 2, [0, 1, 1]), (6, 4, 0))
-    trace = builder.finalize(extinction_step=None, cap_reached=True)
+    trace = builder.finalize()
     np.testing.assert_array_equal(trace.steps, [0, 1])
     np.testing.assert_array_equal(trace.infected, [2, 4])
     np.testing.assert_array_equal(trace.uninfected, [8, 6])
@@ -72,6 +70,21 @@ def test_builder_initial_row_and_append():
     assert trace.cap_reached
     assert trace.extinction_step is None
     assert trace.cell_log is None and trace.infectious_log is None
+
+
+def test_the_last_row_says_how_the_run_ended():
+    capped = TraceBuilder((8, 2, 0), num_groups=1)
+    capped.record(_report(1, 2, [0, 2]), (6, 4, 0))
+    trace = capped.finalize()
+    assert trace.cap_reached
+    assert trace.extinction_step is None
+    extinct = TraceBuilder((8, 2, 0), num_groups=1)
+    extinct.record(_report(1, 1, [0, 1]), (7, 3, 0))
+    extinct.record(_report(2, 0, [0, 0], recovered=3), (7, 0, 3))
+    trace = extinct.finalize()
+    assert not trace.cap_reached
+    assert trace.extinction_step == 2
+    assert isinstance(trace.extinction_step, int)
 
 
 def test_builder_rejects_band_zero_infections():
@@ -86,7 +99,7 @@ def test_builder_rejects_overflowing_band():
         builder.record(_report(1, 6, [0, 1, 0, 5]), (2, 8, 0))
     # zero columns beyond the width are tolerated and dropped
     builder.record(_report(1, 1, [0, 1, 0, 0]), (7, 3, 0))
-    trace = builder.finalize(extinction_step=None, cap_reached=True)
+    trace = builder.finalize()
     np.testing.assert_array_equal(trace.new_by_group, [[0], [1]])
 
 
@@ -105,7 +118,7 @@ def test_trace_csv_format(tmp_path):
     builder = TraceBuilder((8, 2, 0), num_groups=3)
     builder.record(_report(1, 2, [0, 1, 1]), (6, 4, 0))
     builder.record(_report(2, 0, [0, 0, 0], recovered=4), (6, 0, 4))
-    trace = builder.finalize(extinction_step=2, cap_reached=False)
+    trace = builder.finalize()
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     raw = path.read_bytes()
