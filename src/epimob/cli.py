@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--workers", type=int, default=1,
-        help="processes to run replicates in, counting this one (default 1)",
+        help="processes to run replicates in, counting this one, capped at the "
+        "usable CPUs (default 1)",
     )
     run.set_defaults(handler=_cmd_run)
 

@@ -4,9 +4,11 @@ Each replicate r of a run with master seed s draws only from four random
 streams derived purely from (s, r): grid, init, movement, transmission.
 run_replicate is one loop over either engine's state and step function:
 the count-level engine by default, the per-node engine when log_cells is
-set.  With N processes, replicate r runs in process r mod N: the calling
-process runs its own share and N - 1 forked helpers run theirs, each writing
-its replicates' trace files.  Outputs are therefore identical at every N, and
+set.  A firing trigger only looks up the params the config settled for it
+(ScenarioConfig.moves) and draws a fresh grid.  With N processes, at most
+the usable CPUs, replicate r runs in process r mod N: the calling process
+runs its own share and N - 1 forked helpers run theirs, each writing its
+replicates' trace files.  Outputs are therefore identical at every N, and
 the manifest (config text plus master seed) fixes every output byte but
 wall-clock metadata.  The loop calls build_grid, init_population, step,
 apply_intervention and the CSV writers through this module's globals, so they
@@ -48,7 +50,8 @@ class RunManifest:
     the two agree in law, not byte for byte.  derived_seeds[r] is a pure
     function of (master_seed, r), the seed of replicate r's summary row.
     fired_steps[r] lists, per trigger in config order, the step at which it
-    fired in replicate r, or None if it never fired.  wall_seconds runs from
+    fired in replicate r, or None if it never fired; steps[r] is the number
+    of steps replicate r ran (its trace's last_step).  wall_seconds runs from
     the start of run_replications until the trace and summary CSVs are
     written.  started_at and wall_seconds are informational only and
     excluded from the determinism guarantee.
@@ -60,6 +63,7 @@ class RunManifest:
     replications: int
     derived_seeds: list
     fired_steps: list
+    steps: list
     config_text: str
     started_at: str
     wall_seconds: float
@@ -142,12 +146,12 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
 
     With log_cells, each step's cells and infectious mask also go into the
     trace.  Triggers are evaluated at step 0 and after every completed
-    step; each fires at most once, merging its overlay onto the params then
-    in effect and drawing a fresh grid (apply_intervention).  So overlays
-    apply in firing order, which need not be list order when time and
-    prevalence triggers interleave; config.band_width already covers every
-    such order.  With config.out_dir set, the trace goes to
-    trace_<replicate>.csv there, a directory that run_replications creates.
+    step; each fires at most once, moving to the params config.moves names
+    and drawing a fresh grid (apply_intervention).  So overlays apply in
+    firing order, which need not be list order when time and prevalence
+    triggers interleave; the config settled every such order when it was
+    built, so a run merges nothing.  With config.out_dir set, the trace goes
+    to trace_<replicate>.csv there, a directory that run_replications creates.
     """
     streams = ReplicateStreams.from_seed(config.seed, replicate)
     params = config.params
@@ -160,12 +164,15 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
     counts = state.counts()
     builder = TraceBuilder(counts, config.band_width)
     fired: list = [None] * len(config.schedule)
+    at = 0  # params is config.param_sets[at]
 
     def fire_due() -> None:
-        nonlocal params, grid
+        nonlocal at, params, grid
         for idx, trig in enumerate(config.schedule):
             if fired[idx] is None and trig.condition.met(state.step, counts.infected, params.n):
-                params, grid = apply_intervention(state, params, trig.overlay, streams.grid)
+                at = config.moves[at, idx]
+                params = config.param_sets[at]
+                grid = apply_intervention(state, params, streams.grid)
                 fired[idx] = state.step
 
     fire_due()
@@ -195,6 +202,14 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
     return summary, trace
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_share(config: ScenarioConfig, first: int, step: int, receiver, sender) -> None:
     """Run replicates first, first + step, ... in a helper process.
 
@@ -215,10 +230,11 @@ def _run_share(config: ScenarioConfig, first: int, step: int, receiver, sender) 
 def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
     """Run every replicate, aggregate outcomes, and write files if configured.
 
-    workers counts the calling process: replicate r runs in process
-    r mod workers, and workers - 1 helper processes run the shares the
-    caller does not.  Outputs are identical at every worker count because
-    each replicate's streams depend only on (master seed, replicate index).
+    workers counts the calling process and is capped at the replicate count
+    and the usable CPUs: replicate r runs in process r mod workers, and
+    workers - 1 helper processes run the shares the caller does not.
+    Outputs are identical at every worker count because each replicate's
+    streams depend only on (master seed, replicate index).
     A helper's exception is raised again here; a helper that dies without
     sending its share raises RuntimeError.  No helper outlives the call.
     When config.out_dir is set, each replicate writes its own trace file, and
@@ -232,7 +248,7 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
         # an unusable out_dir fails here, before any replicate runs
         os.makedirs(config.out_dir, exist_ok=True)
     reps = config.replications
-    workers = min(workers, reps)
+    workers = min(workers, reps, _usable_cpus())
     results: list = [None] * reps
     helpers = []
     try:
@@ -278,6 +294,7 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
         replications=config.replications,
         derived_seeds=[s.seed for s in summaries],
         fired_steps=[list(s.fired_steps) for s in summaries],
+        steps=[t.last_step for t in traces],
         config_text=serialize_config(config),
         started_at=started_at,
         wall_seconds=time.perf_counter() - t0,

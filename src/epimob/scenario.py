@@ -61,10 +61,6 @@ TriggerCondition = Union[TimeReached, PrevalenceReached]
 # overlay keys allowed on the right-hand side of a trigger
 _OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 
-# params objects an overlay keeps merged results for; a schedule reaches at
-# most 16 parameter sets (InterventionSchedule.reachable)
-MERGED_KEPT = 16
-
 
 # serialize_config writes out_dir=<path> on one line, which parse_config cuts
 # at '#' and strips, so only such paths survive the round trip; no OS path
@@ -101,8 +97,6 @@ class ParamOverlay:
     kappa: Optional[float] = None
     tau: Optional[int] = None
     beta: Optional[float] = None
-    # id(params) -> (params, merged params), filled by merge
-    _merged: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         changes = self._changes()
@@ -115,22 +109,8 @@ class ParamOverlay:
         return {k: getattr(self, k) for k in _OVERLAY_KEYS if getattr(self, k) is not None}
 
     def merge(self, params: EpidemicParams) -> EpidemicParams:
-        """New params with the overlay applied; revalidates every invariant.
-
-        A run fires its overlays on the same params objects in every
-        replicate, so the result is kept per params object and validated
-        once.  Objects, not equal values: equal params may differ in type
-        (kappa=1 against kappa=1.0), and so in what they compute.
-        """
-        hit = self._merged.get(id(params))
-        # an id names one object only among live ones, and a pickled overlay
-        # carries its old process's ids, so a hit must hold params itself
-        if hit is None or hit[0] is not params:
-            if len(self._merged) >= MERGED_KEPT:
-                self._merged.clear()
-            merged = dataclasses.replace(params, **self._changes())
-            hit = self._merged[id(params)] = (params, merged)
-        return hit[1]
+        """New params with the overlay applied; revalidates every invariant."""
+        return dataclasses.replace(params, **self._changes())
 
 
 @dataclass(frozen=True)
@@ -152,51 +132,62 @@ class InterventionSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triggers", tuple(self.triggers))
-        steps = [t.condition.step for t in self.of_kind(TimeReached)]
-        fracs = [t.condition.fraction for t in self.of_kind(PrevalenceReached)]
+        steps = [self.triggers[k].condition.step for k in self.of_kind(TimeReached)]
+        fracs = [self.triggers[k].condition.fraction for k in self.of_kind(PrevalenceReached)]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ConfigError("time triggers must have strictly increasing steps")
         if any(b <= a for a, b in zip(fracs, fracs[1:])):
             raise ConfigError("prevalence triggers must have strictly increasing fractions")
 
     def of_kind(self, kind: type) -> list:
-        """The triggers whose condition is a `kind`, in list order."""
-        return [t for t in self.triggers if isinstance(t.condition, kind)]
+        """The indices of the triggers whose condition is a `kind`, in list order."""
+        return [k for k, t in enumerate(self.triggers) if isinstance(t.condition, kind)]
 
-    def reachable(self, params: EpidemicParams) -> frozenset:
-        """Every parameter set a run that starts from params can reach.
+    def reachable(self, params: EpidemicParams) -> tuple[tuple, dict]:
+        """Every parameter set a run from params can reach, and the moves between them.
 
+        Returns (param_sets, moves): param_sets[0] is params, and moves[a, k]
+        is the index of the set in effect once trigger k fires while set a is.
         Each trigger kind fires in list order; the kinds interleave freely.
         row[j] holds, for i = 0, 1, ... in turn, the sets in effect once the
         first i time and the first j prevalence overlays have fired: at most
         16, as each overlay key keeps its base value or the last time or
         prevalence overlay's, each kept with one firing order that reaches
-        it.  Every merge revalidates, so a reachable invalid grid raises
+        it.  Sets are told apart by repr, not by equality: equal params may
+        differ in type (kappa=1 against kappa=1.0), and so in what they
+        compute.  Every merge revalidates, so a reachable invalid grid raises
         ConfigError, naming the triggers that reach it in firing order.
         """
+        param_sets = [params]
+        index = {repr(params): 0}
+        moves = {}
 
-        def fire(trigger: Trigger, sets: dict) -> dict:
+        def fire(k: int, row: dict) -> dict:
+            trigger = self.triggers[k]
             fired = {}
-            for p, order in sets.items():
+            for a, order in row.items():
                 try:
-                    fired.setdefault(trigger.overlay.merge(p), (*order, trigger))
+                    merged = trigger.overlay.merge(param_sets[a])
                 except ConfigError as exc:
                     names = ", ".join(format_trigger(t) for t in (*order, trigger))
                     raise ConfigError(f"{exc} (reached once {names} fired)") from None
+                b = index.setdefault(repr(merged), len(param_sets))
+                if b == len(param_sets):
+                    param_sets.append(merged)
+                moves[a, k] = b
+                fired.setdefault(b, (*order, trigger))
             return fired
 
         times = self.of_kind(TimeReached)
         prevs = self.of_kind(PrevalenceReached)
-        row = [{params: ()}]
+        row = [{0: ()}]
         for prev in prevs:
             row.append(fire(prev, row[-1]))
-        reached = set().union(*row)
         for time in times:
             row[0] = fire(time, row[0])
             for j, prev in enumerate(prevs, start=1):
                 row[j] = fire(time, row[j]) | fire(prev, row[j - 1])
-            reached.update(*row)
-        return frozenset(reached)
+        return tuple(param_sets), moves
 
     def __len__(self) -> int:
         return len(self.triggers)
@@ -211,7 +202,8 @@ class ScenarioConfig:
 
     Each field but params and schedule must pass its RUN_FIELDS row.  Every
     parameter set the schedule can reach from params, in any firing order,
-    is built and so checked here (InterventionSchedule.reachable);
+    is built and so checked here, and kept as param_sets and the moves between
+    them (InterventionSchedule.reachable), which a run only looks up;
     band_width, the highest band any of their grids can hold, is the number
     of band columns of every trace of the run.
     """
@@ -223,14 +215,18 @@ class ScenarioConfig:
     out_dir: Optional[str] = None
     log_cells: bool = False
     band_width: int = dataclasses.field(init=False, repr=False, compare=False)
+    param_sets: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    moves: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for f in RUN_FIELDS:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 f.check(value)
-        width = max(p.max_band for p in self.schedule.reachable(self.params))
-        object.__setattr__(self, "band_width", width)
+        param_sets, moves = self.schedule.reachable(self.params)
+        object.__setattr__(self, "param_sets", param_sets)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "band_width", max(p.max_band for p in param_sets))
 
 
 def preset_emerging(n: int) -> ScenarioConfig:
@@ -276,10 +272,9 @@ def preset_industrialized(n: int) -> ScenarioConfig:
 def apply_intervention(
     state: PopulationState | CountState,
     params: EpidemicParams,
-    overlay: ParamOverlay,
     rng: np.random.Generator,
-) -> tuple[EpidemicParams, CellGrid]:
-    """Swap in overlay parameters and draw a fresh grid under them.
+) -> CellGrid:
+    """Draw a fresh grid under the params a trigger swaps in.
 
     Either engine's state is checked for its population size, not changed.
     The new tau and beta apply from the next step on; nodes already infected
@@ -289,8 +284,7 @@ def apply_intervention(
     """
     if sum(state.counts()) != params.n:
         raise ValueError("state and params disagree on population size")
-    merged = overlay.merge(params)
-    return merged, build_grid(merged, rng)
+    return build_grid(params, rng)
 
 
 def format_trigger(trigger: Trigger) -> str:

@@ -48,6 +48,16 @@ from epimob.rng import (
 )
 
 
+# the real CPU count, before the fixture below lifts it
+usable_cpus = harness._usable_cpus
+
+
+@pytest.fixture(autouse=True)
+def many_cpus(monkeypatch):
+    """Lift the CPU cap on workers, so tests here start the processes they ask for on any host."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+
+
 def small_config(**kw):
     params = EpidemicParams(
         n=kw.pop("n", 500),
@@ -144,10 +154,13 @@ def test_count_engine_replicate_never_builds_the_init_stream(monkeypatch):
 def test_written_manifest_names_version_and_engine(tmp_path):
     for log_cells, engine in ((False, "count"), (True, "per-node")):
         out_dir = tmp_path / engine
-        run_replications(small_config(seed=2, log_cells=log_cells, out_dir=str(out_dir)))
+        result = run_replications(
+            small_config(seed=2, replications=3, log_cells=log_cells, out_dir=str(out_dir))
+        )
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["engine_version"] == epimob.__version__ == "0.8.0"
         assert manifest["engine"] == engine
+        assert manifest["steps"] == result.manifest.steps == [t.last_step for t in result.traces]
 
 
 def test_aggregate_stats_hand_computed():
@@ -420,6 +433,31 @@ def test_manifest_records_when_each_trigger_fired(tmp_path):
     assert [late_step for _, late_step in written["fired_steps"]] == [None] * 3
 
 
+def test_a_run_only_looks_up_the_params_its_config_settled(monkeypatch):
+    halve = Trigger(TimeReached(3), ParamOverlay(beta=0.5))
+    aware = Trigger(PrevalenceReached(0.02), ParamOverlay(alpha=6.0, kappa=16.0, tau=2))
+    config = dataclasses.replace(
+        preset_emerging(2000), seed=4, replications=4,
+        schedule=InterventionSchedule((halve, aware)),
+    )
+    used = []
+    real = harness.apply_intervention
+
+    def spy(state, params, rng):
+        used.append(params)
+        return real(state, params, rng)
+
+    def merge(overlay, params):
+        raise AssertionError("a run merged an overlay")
+
+    monkeypatch.setattr(ParamOverlay, "merge", merge)
+    monkeypatch.setattr(harness, "apply_intervention", spy)
+    result = run_replications(config)
+    fired = [step for s in result.summaries for step in s.fired_steps if step is not None]
+    assert len(used) == len(fired) > 0
+    assert all(any(p is q for q in config.param_sets[1:]) for p in used)
+
+
 def test_time_trigger_fires_at_its_step():
     # beta 0 keeps the run inert, tau beyond the cap keeps it alive
     config = small_config(
@@ -556,6 +594,39 @@ def _spy_in_helpers(monkeypatch, in_helper) -> None:
     monkeypatch.setattr(harness, "run_replicate", spy)
 
 
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+@fork_only
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, cpus):
+    # forked helpers inherit the spy and append to the same file
+    ran = tmp_path / "ran"
+    real = harness.run_replicate
+
+    def spy(config, replicate):
+        with open(ran, "a", encoding="utf-8") as fh:
+            fh.write(f"{replicate} {os.getpid()}\n")
+        return real(config, replicate)
+
+    monkeypatch.setattr(harness, "run_replicate", spy)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    run_replications(small_config(seed=9, replications=4), workers=5000)
+    pid = dict(line.split() for line in ran.read_text().splitlines())
+    caller = str(os.getpid())
+    assert pid["0"] == pid["2"] == caller
+    # replicate r runs in process r mod cpus
+    assert (pid["1"] == pid["3"] == caller) == (cpus == 1)
+    assert len(set(pid.values())) == cpus
+
+
 @fork_only
 def test_a_helper_exception_is_raised_again(monkeypatch):
     def fail(config, replicate):
@@ -601,6 +672,8 @@ def test_a_helper_does_not_outlive_a_killed_caller():
     script = """
 import dataclasses, os, signal
 from epimob import harness, preset_emerging
+# two processes, whatever the host's CPU count
+harness._usable_cpus = lambda: 2
 real, caller = harness.run_replicate, os.getpid()
 def die_in_caller(config, replicate):
     if os.getpid() == caller:

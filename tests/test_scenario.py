@@ -116,16 +116,16 @@ def test_overlay_merge_keeps_unset_fields():
     assert (merged.n, merged.alpha, merged.kappa, merged.beta) == (1000, 2.8, 1.0, 0.8)
 
 
-def test_overlay_merge_is_kept_per_params_object():
+def test_overlay_merge_keeps_each_fields_type():
     overlay = ParamOverlay(tau=5)
     params = EpidemicParams(n=1000, alpha=2.8, kappa=1.0, tau=3)
-    assert overlay.merge(params) is overlay.merge(params)
-    # equal params of another type get their own merge, which keeps that type
+    # equal params of another type merge to params that keep that type
     as_int = EpidemicParams(n=1000, alpha=2.8, kappa=1, tau=3)
     assert as_int == params
     assert type(overlay.merge(as_int).kappa) is int
     assert type(overlay.merge(params).kappa) is float
-    # the kept results play no part in equality, hashing or repr
+    # an overlay holds its four keys and nothing else
+    assert [f.name for f in dataclasses.fields(ParamOverlay)] == ["alpha", "kappa", "tau", "beta"]
     assert overlay == ParamOverlay(tau=5) and hash(overlay) == hash(ParamOverlay(tau=5))
     assert repr(overlay) == "ParamOverlay(alpha=None, kappa=None, tau=5, beta=None)"
 
@@ -177,16 +177,33 @@ _small_overlays = st.fixed_dictionaries(
 ).filter(bool).map(lambda kw: ParamOverlay(**kw))
 
 
-def _reachable_by_every_firing_order(params, schedule):
+def _firing_orders(schedule):
+    """Every order the triggers can fire in, as trigger indices: each kind in list order."""
     kinds = [type(t.condition) for t in schedule]
-    reached = {params}
     for order in set(itertools.permutations(kinds)):
-        queues = {kind: iter([t.overlay for t in schedule if type(t.condition) is kind]) for kind in set(kinds)}
-        p = params
-        for kind in order:
-            p = next(queues[kind]).merge(p)
-            reached.add(p)
-    return reached
+        queues = {
+            kind: iter([k for k, t in enumerate(schedule) if type(t.condition) is kind])
+            for kind in set(kinds)
+        }
+        yield [next(queues[kind]) for kind in order]
+
+
+def _assert_moves_follow_every_firing_order(params, schedule):
+    """Following moves from set 0 reaches, after each firing, the params that merging gives."""
+    param_sets, moves = schedule.reachable(params)
+    assert param_sets[0] is params
+    assert len({repr(p) for p in param_sets}) == len(param_sets)
+    reached = {repr(params)}
+    for order in _firing_orders(schedule):
+        p, at = params, 0
+        for k in order:
+            p = schedule.triggers[k].overlay.merge(p)
+            at = moves[at, k]
+            assert repr(param_sets[at]) == repr(p)
+            reached.add(repr(p))
+    # every set kept is one that some firing order reaches
+    assert {repr(p) for p in param_sets} == reached
+    return param_sets, moves
 
 
 @given(
@@ -207,10 +224,26 @@ def test_reachable_sets_match_every_firing_order(times, prevs, slots):
             condition = TimeReached(k) if kind else PrevalenceReached(k / 4)
             triggers.append(Trigger(condition, overlay))
     schedule = InterventionSchedule(tuple(triggers))
-    want = _reachable_by_every_firing_order(params, schedule)
-    assert schedule.reachable(params) == want
+    param_sets, moves = _assert_moves_follow_every_firing_order(params, schedule)
     config = ScenarioConfig(params=params, schedule=schedule)
-    assert config.band_width == max(p.max_band for p in want)
+    assert [repr(p) for p in config.param_sets] == [repr(p) for p in param_sets]
+    assert config.moves == moves
+    assert config.band_width == max(p.max_band for p in param_sets)
+
+
+def test_reachable_sets_keep_equal_params_of_another_type_apart():
+    # time first ends on kappa=1.0, prevalence first on kappa=1: equal
+    # params, but a run computes with the type its firing order gave
+    params = EpidemicParams(n=10_000, alpha=2.8, kappa=2.0, tau=2)
+    schedule = InterventionSchedule((
+        Trigger(TimeReached(3), ParamOverlay(kappa=1)),
+        Trigger(PrevalenceReached(0.1), ParamOverlay(kappa=1.0)),
+    ))
+    param_sets, moves = _assert_moves_follow_every_firing_order(params, schedule)
+    assert len(param_sets) == 3
+    as_int, as_float = param_sets[moves[moves[0, 1], 0]], param_sets[moves[moves[0, 0], 1]]
+    assert as_int == as_float
+    assert type(as_int.kappa) is int and type(as_float.kappa) is float
 
 
 def test_schedule_orders_within_condition_kind():
@@ -415,8 +448,8 @@ def test_apply_intervention_swaps_world_not_population():
     status_before = state.status.copy()
     infected_at_before = state.infected_at.copy()
 
-    overlay = ParamOverlay(alpha=6.0, kappa=16.0, tau=2)
-    merged, new_grid = apply_intervention(state, params, overlay, substream(7, 0, 0))
+    merged = ParamOverlay(alpha=6.0, kappa=16.0, tau=2).merge(params)
+    new_grid = apply_intervention(state, merged, substream(7, 0, 0))
 
     assert merged.num_cells == 160_000
     assert new_grid.attractiveness.size == 160_000
@@ -433,9 +466,9 @@ def test_apply_intervention_checks_population_size():
     state = init_population(config.params, substream(7, 0, 1))
     other = EpidemicParams(n=500, alpha=2.8, kappa=1.0, tau=2)
     with pytest.raises(ValueError, match="population size"):
-        apply_intervention(state, other, ParamOverlay(tau=1), substream(7, 0, 0))
+        apply_intervention(state, other, substream(7, 0, 0))
     counts = CountState(9_000, 900, {0: 60, 3: 40})
     with pytest.raises(ValueError, match="population size"):
-        apply_intervention(counts, other, ParamOverlay(tau=1), substream(7, 0, 0))
-    merged, _ = apply_intervention(counts, config.params, ParamOverlay(tau=1), substream(7, 0, 0))
-    assert merged.tau == 1 and counts.counts() == (9_000, 100, 900)
+        apply_intervention(counts, other, substream(7, 0, 0))
+    grid = apply_intervention(counts, config.params, substream(7, 0, 0))
+    assert grid.num_cells == config.params.num_cells and counts.counts() == (9_000, 100, 900)
