@@ -225,6 +225,22 @@ class Pieces(NamedTuple):
     block_first: np.ndarray
 
 
+_TOO_LARGE = "grid too large: num_cells * the largest weight must be below 2**63"
+
+# CellGrid reads each class's band from a table of floor(log2(v)), built for
+# every v below a power of two, at least 2**10 and at most 2**BAND_TABLE_BITS;
+# a grid with a larger weight computes its bands
+BAND_TABLE_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _band_table(bits: int) -> np.ndarray:
+    """np.frexp(v)[1] - 1, which is floor(log2(v)), for v < 2**bits; read-only as it is shared."""
+    table = np.frexp(np.arange(2**bits))[1] - 1
+    table.flags.writeable = False
+    return table
+
+
 # choose_cells finds a draw's class in a table of power-of-two buckets of
 # [0, W): BUCKETS_PER_CLASS * m rounded up to a power of two, and so fewer
 # than 2 * BUCKETS_PER_CLASS * m of them.
@@ -256,12 +272,15 @@ class CellGrid:
                    weight must be below 2**63, so that W and every integer
                    place() computes fit int64
 
-    Cells are numbered in class order.  Built once: num_cells K;
-    total_weight W; band[c] = floor(log2(v_c)); num_bands, the band
-    columns of a StepReport; start[c], where class c begins; weight_start[c],
-    the total weight of the classes before c; base[c] = start[c] * v_c - weight_start[c],
-    so the integer x of class c belongs to cell (x + base[c]) // v_c;
-    bucket_shift and num_buckets, the shape of choose_cells' table.
+    Cells are numbered in class order.  Built once, by one running total
+    over the classes: num_cells K; total_weight W; band[c] = floor(log2(v_c))
+    (int32, read from a shared table); num_bands, the band columns of a
+    StepReport; start[c], where class c begins; weight_start[c], the total
+    weight of the classes before c, and weight_bounds, the same with W
+    appended, so class c owns the integers weight_bounds[c] up to
+    weight_bounds[c + 1]; base[c] = start[c] * v_c - weight_start[c], so the
+    integer x of class c belongs to cell (x + base[c]) // v_c; bucket_shift
+    and num_buckets, the shape of choose_cells' table.
 
     Built on first use, so the count-level engine never holds anything of
     length K: per cell, attractiveness and cell_group (int16 band); pieces,
@@ -278,6 +297,7 @@ class CellGrid:
     num_bands: int = field(init=False)
     start: np.ndarray = field(init=False, repr=False)
     weight_start: np.ndarray = field(init=False, repr=False)
+    weight_bounds: np.ndarray = field(init=False, repr=False)
     base: np.ndarray = field(init=False, repr=False)
     bucket_shift: int = field(init=False)
     num_buckets: int = field(init=False)
@@ -287,23 +307,36 @@ class CellGrid:
         sizes = self.sizes = np.asarray(self.sizes, dtype=np.int64)
         if values.ndim != 1 or values.size == 0 or sizes.shape != values.shape:
             raise ValueError("values and sizes must be non-empty 1-d arrays of one length")
-        if values[0] < 2 or (values[1:] <= values[:-1]).any():
+        # running totals of cells (row 0) and of weight (row 1), each led by
+        # a 0: a class starts where the totals before it end
+        table = np.zeros((2, values.size + 1), dtype=np.int64)
+        table[0, 1:] = sizes
+        np.multiply(values, sizes, table[1, 1:])
+        np.add.accumulate(table, 1, None, table)
+        cells = table[0]
+        if values[0] < 2 or np.count_nonzero(values[1:] <= values[:-1]):
             raise ValueError("values must increase from at least 2")
-        if sizes.min() < 1:
-            raise ValueError("every class must hold at least one cell")
-        # Python integers: the int64 sums below must not wrap before the check
-        num_cells = sum(sizes.tolist())
-        if num_cells * int(values[-1]) >= 2**63:
-            raise ValueError("grid too large: num_cells * the largest weight must be below 2**63")
-        # row 0 counts cells and row 1 weight, so one running total gives both
-        # ends, and the ends less the class's own share give both starts
-        per_class = np.array((sizes, values * sizes))
-        ends = np.add.accumulate(per_class, axis=1)
-        self.start, self.weight_start = ends - per_class
-        self.num_cells = num_cells
-        self.total_weight = int(ends[1, -1])
-        self.band = np.frexp(values)[1] - 1
-        self.num_bands = int(values[-1]).bit_length()
+        # the cell total rises at every class unless a size is below 1 or
+        # the int64 sum wraps, which makes it fall
+        if np.count_nonzero(cells[1:] <= cells[:-1]):
+            if sizes.min() < 1:
+                raise ValueError("every class must hold at least one cell")
+            raise ValueError(_TOO_LARGE)
+        self.num_cells, self.total_weight = table[:, -1].tolist()
+        top = int(values[-1])
+        # below 2**63, so W, which is at most K * top, did not wrap either
+        if self.num_cells * top >= 2**63:
+            raise ValueError(_TOO_LARGE)
+        self.start = cells[:-1]
+        self.weight_bounds = table[1]
+        self.weight_start = self.weight_bounds[:-1]
+        self.num_bands = top.bit_length()
+        # np.frexp's exponent less one, in value and dtype, either way
+        table_bits = max(self.num_bands, 10)
+        if table_bits <= BAND_TABLE_BITS:
+            self.band = _band_table(table_bits)[values]
+        else:
+            self.band = np.frexp(values)[1] - 1
         # below 2**63: start * v < K * values[-1], checked above
         self.base = self.start * values - self.weight_start
         bits = (BUCKETS_PER_CLASS * values.size - 1).bit_length()
@@ -386,9 +419,9 @@ def draw_class_counts(params: EpidemicParams, rng: np.random.Generator) -> tuple
     dropped, so values is increasing and every count is positive.
     """
     counts = rng.multinomial(params.num_cells, power_law_pmf(params.alpha, params.max_attractiveness))
-    values = np.arange(2, params.max_attractiveness + 1, dtype=np.int64)
-    keep = counts > 0
-    return values[keep], counts[keep]
+    # count i is of the value i + 2
+    keep = counts.nonzero()[0]
+    return keep + 2, counts[keep]
 
 
 def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:

@@ -317,6 +317,14 @@ def _sparse_is_cheaper(grid: CellGrid, infectious: int) -> bool:
     return infectious < SORT_NODES + grid.num_cells // SORT_CELLS_PER_NODE
 
 
+@lru_cache(maxsize=64)
+def _class_index(classes: int) -> np.ndarray:
+    """0, 1, ..., classes - 1, read-only as it is shared."""
+    index = np.arange(classes)
+    index.flags.writeable = False
+    return index
+
+
 def _sorted_exposure(
     grid: CellGrid, infectious: int, beta: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -325,7 +333,7 @@ def _sorted_exposure(
     It draws what choose_cells draws, one integer x uniform on [0, W) a
     node, and sorts x.  A class's integers come before the next class's
     and each of its cells owns a run of them, so one search of sorted x
-    for the class starts gives every node's class, and the cells
+    for the class bounds gives every node's class, and the cells
     (attractiveness.place) come out sorted too.  A cell is new where it
     differs from the one before; at beta = 1 a class's sum is its number
     of new cells, and below, m_v is the gap from one new cell to the next.
@@ -335,12 +343,11 @@ def _sorted_exposure(
     """
     x = rng.integers(0, grid.total_weight, infectious)
     x.sort()
-    begin = x.searchsorted(grid.weight_start)
-    # np.diff(begin, append=infectious) costs several microseconds more
-    held = np.empty_like(begin)
-    np.subtract(begin[1:], begin[:-1], out=held[:-1])
-    held[-1] = infectious - begin[-1]
-    cls = np.arange(held.size).repeat(held)
+    # class c's nodes are bounds[c] up to bounds[c + 1]; every x is below W,
+    # so the last bound is |I|
+    bounds = x.searchsorted(grid.weight_bounds)
+    held = bounds[1:] - bounds[:-1]
+    cls = _class_index(held.size).repeat(held)
     attractiveness.place(grid, x, cls)
     # new[i]: node i is the first on its cell; new[|I|] closes the last run
     new = np.empty(infectious + 1, dtype=bool)
@@ -450,21 +457,22 @@ def count_step(
         raise ValueError("run already reached max_steps")
     state.step += 1
     move_rng, transmit_rng = _role_streams(rng)
-    by_group = np.zeros(grid.num_bands, dtype=np.int64)
     new = 0
     infectious = sum(state.cohorts.values())
     if infectious and state.uninfected:
         exposure = _class_exposure(grid, infectious, params.beta, move_rng)
         # class c's share of Q is (v_c / W) * exposure_c
         bands = np.bincount(
-            grid.band, weights=grid.values * exposure / grid.total_weight, minlength=by_group.size
+            grid.band, weights=grid.values * exposure / grid.total_weight, minlength=grid.num_bands
         )
-        q = bands.sum()
+        q = np.add.reduce(bands)
         new = int(transmit_rng.binomial(state.uninfected, min(q, 1.0)))
         if new:
             by_group = transmit_rng.multinomial(new, bands / q)
             state.cohorts[state.step] = new
             state.uninfected -= new
+    if not new:
+        by_group = np.zeros(grid.num_bands, dtype=np.int64)
     retired = 0
     for t in [t for t in state.cohorts if t <= state.step - params.tau]:
         retired += state.cohorts.pop(t)

@@ -100,20 +100,24 @@ class RunResult:
     aggregate: AggregateStats
 
 
-def _quantile(ordered: list, q: float) -> float:
-    """np.quantile(ordered, q) bit for bit, for a sorted non-empty list of floats.
+def _quantiles(ordered: list) -> list:
+    """np.quantile(ordered, [0.1, 0.5, 0.9]) bit for bit, for a sorted non-empty list of floats.
 
     numpy's default linear rule: the rank (n - 1) * q splits into an index i
     and a fraction t, and the result lies between ordered[i] = a and the next
     value b.  Like numpy's _lerp it is a + (b - a) * t below t = 0.5 and
     b - (b - a) * (1 - t) from there on.
     """
-    rank = (len(ordered) - 1) * q
-    i = int(rank)
-    t = rank - i
-    a = ordered[i]
-    b = ordered[min(i + 1, len(ordered) - 1)]
-    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    last = len(ordered) - 1
+    out = []
+    for q in (0.10, 0.50, 0.90):
+        rank = last * q
+        i = int(rank)
+        t = rank - i
+        a = ordered[i]
+        b = ordered[min(i + 1, last)]
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def _stat_summary(values) -> StatSummary:
@@ -122,7 +126,7 @@ def _stat_summary(values) -> StatSummary:
         nan = math.nan
         return StatSummary(nan, nan, nan, nan)
     ordered = sorted(map(float, values))
-    q10, median, q90 = (_quantile(ordered, q) for q in (0.10, 0.50, 0.90))
+    q10, median, q90 = _quantiles(ordered)
     # np.mean's own reduction, without its dispatch
     mean = float(np.add.reduce(np.asarray(values), dtype=np.float64)) / len(values)
     return StatSummary(mean, q10, median, q90)
@@ -163,12 +167,13 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
         state, advance = CountState.initial(params), count_step
     counts = state.counts()
     builder = TraceBuilder(counts, config.band_width)
-    fired: list = [None] * len(config.schedule)
+    triggers = config.schedule.triggers
+    fired: list = [None] * len(triggers)
     at = 0  # params is config.param_sets[at]
 
     def fire_due() -> None:
         nonlocal at, params, grid
-        for idx, trig in enumerate(config.schedule):
+        for idx, trig in enumerate(triggers):
             if fired[idx] is None and trig.condition.met(state.step, counts.infected, params.n):
                 at = config.moves[at, idx]
                 params = config.param_sets[at]
@@ -188,12 +193,15 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
         fire_due()
 
     trace = builder.finalize()
+    # read as SimulationTrace reads its last row: extinct at that row's step
+    # if no node is infected there, else capped
+    last_step, infected, survivors = builder.last_row()
     summary = ReplicateSummary(
         replicate=replicate,
         seed=derive_seed(config.seed, replicate),
-        extinction_step=trace.extinction_step,
-        ever_infected=trace.ever_infected,
-        survivors=trace.survivors,
+        extinction_step=None if infected else last_step,
+        ever_infected=params.n - survivors,
+        survivors=survivors,
         fired_steps=tuple(fired),
     )
     if config.out_dir is not None:
@@ -248,7 +256,8 @@ def run_replications(config: ScenarioConfig, workers: int = 1) -> RunResult:
         # an unusable out_dir fails here, before any replicate runs
         os.makedirs(config.out_dir, exist_ok=True)
     reps = config.replications
-    workers = min(workers, reps, _usable_cpus())
+    if workers > 1:
+        workers = min(workers, reps, _usable_cpus())
     results: list = [None] * reps
     helpers = []
     try:

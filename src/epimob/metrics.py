@@ -106,16 +106,44 @@ class TraceBuilder:
         self._cell_rows.append(np.asarray(cells, dtype=np.int64))
         self._infectious_rows.append(np.asarray(infectious_mask, dtype=bool))
 
+    def last_row(self) -> tuple:
+        """step, I and U of the last recorded row, as Python ints."""
+        return self._rows[-1][:3]
+
     def finalize(self) -> SimulationTrace:
+        """Freeze the records into a SimulationTrace; the logs move into it, not copied twice."""
         # one table, whose columns are SimulationTrace's first seven fields
         table = np.array(self._rows, dtype=np.int64)
         return SimulationTrace(
             *table[:, :5].T,
             table[:, 5:-1],
             table[:, -1],
-            cell_log=np.array(self._cell_rows) if self._cell_rows else None,
-            infectious_log=np.array(self._infectious_rows) if self._infectious_rows else None,
+            cell_log=_stack(self._cell_rows),
+            infectious_log=_stack(self._infectious_rows),
         )
+
+
+def _stack(rows: list) -> Optional[np.ndarray]:
+    """The rows as one table, or None if there are none; empties `rows`.
+
+    Each row is copied in turn into a table that ndarray.resize grows by an
+    eighth at a time, reallocating its buffer, and the list lets go of the
+    row once copied.  So a log is never held twice: at most the rows not yet
+    copied, the table, and the table's slack.  Nothing else refers to the
+    table while it grows, so resize skips its reference check.
+    """
+    if not rows:
+        return None
+    shape, dtype = rows[0].shape, rows[0].dtype
+    table = np.empty((0, *shape), dtype=dtype)
+    for i in range(len(rows)):
+        if i == len(table):
+            table.resize((i + 1 + i // 8, *shape), refcheck=False)
+        table[i] = rows[i]
+        rows[i] = None
+    table.resize((len(rows), *shape), refcheck=False)
+    rows.clear()
+    return table
 
 
 @dataclass(frozen=True)

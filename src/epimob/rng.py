@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,14 +43,15 @@ class _Key:
     TypeError.
     """
 
-    __slots__ = ("word",)
+    __slots__ = ("words",)
 
     def __init__(self, word: int) -> None:
-        self.word = word
+        self.words = np.array([word, 0], dtype=np.uint64)
+        self.words.flags.writeable = False
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # Philox asks only for its two uint64 key words
-        return np.array([self.word, 0], dtype=np.uint64)
+        # Philox asks only for its two uint64 key words, and copies them
+        return self.words
 
 
 @lru_cache(maxsize=None)
@@ -67,10 +68,16 @@ def _generator_types() -> tuple[type, type]:
     return Generator, Philox
 
 
+@lru_cache(maxsize=16)
+def _key(master_seed: int) -> _Key:
+    """The _Key of a master seed, which every stream of its run shares."""
+    return _Key(_word(master_seed))
+
+
 def _philox(master_seed: int, replicate: int, role: int):
     # an array counter converts faster than the int r * 2**128 + role * 2**192
     counter = np.array([0, 0, _word(replicate), _word(role)], dtype=np.uint64)
-    return _generator_types()[1](_Key(_word(master_seed)), counter=counter)
+    return _generator_types()[1](_key(master_seed), counter=counter)
 
 
 def derive_seed(master_seed: int, replicate: int) -> int:
@@ -83,8 +90,24 @@ def substream(master_seed: int, replicate: int, role: int) -> np.random.Generato
     return _generator_types()[0](_philox(master_seed, replicate, role))
 
 
-def _stream(role: int) -> cached_property:
-    return cached_property(lambda self: substream(self.master_seed, self.replicate, role))
+class _Stream:
+    """A ReplicateStreams field: substream(master_seed, replicate, role), built on first access.
+
+    functools.cached_property does the same, but before Python 3.12 it also
+    takes a lock on each first access, three of them a count replicate.
+    """
+
+    def __init__(self, role: int) -> None:
+        self.role = role
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, streams, owner=None):
+        if streams is None:
+            return self
+        stream = streams.__dict__[self.name] = substream(streams.master_seed, streams.replicate, self.role)
+        return stream
 
 
 @dataclass
@@ -105,10 +128,10 @@ class ReplicateStreams:
     master_seed: int
     replicate: int
 
-    grid = _stream(ROLE_GRID)
-    init = _stream(ROLE_INIT)
-    movement = _stream(ROLE_MOVEMENT)
-    transmission = _stream(ROLE_TRANSMISSION)
+    grid = _Stream(ROLE_GRID)
+    init = _Stream(ROLE_INIT)
+    movement = _Stream(ROLE_MOVEMENT)
+    transmission = _Stream(ROLE_TRANSMISSION)
 
     @classmethod
     def from_seed(cls, master_seed: int, replicate: int) -> "ReplicateStreams":

@@ -203,6 +203,55 @@ def test_cell_grid_rejects_grids_too_large_for_int64():
     assert (choose_cells(grid, np.random.default_rng(0), 1000) == 1).all()
 
 
+_SHAPE = "values and sizes must be non-empty 1-d arrays of one length"
+_VALUES = "values must increase from at least 2"
+_SIZES = "every class must hold at least one cell"
+_TOO_LARGE = "grid too large: num_cells * the largest weight must be below 2**63"
+
+
+@pytest.mark.parametrize(
+    "values, sizes, message",
+    [
+        ([], [], _SHAPE),
+        ([2, 3], [1], _SHAPE),
+        ([[2, 3]], [[1, 1]], _SHAPE),
+        ([1, 3], [1, 1], _VALUES),
+        ([2, 3, 3], [1, 1, 1], _VALUES),
+        ([2, 5, 4], [1, 1, 1], _VALUES),
+        # the values are checked before the sizes
+        ([3, 2], [1, 0], _VALUES),
+        ([2, 3], [1, 0], _SIZES),
+        ([2, 3], [0, 1], _SIZES),
+        ([2, 3], [5, -2], _SIZES),
+        # a size below 1 is named even where the cell total also wraps
+        ([2, 3, 4], [2**62, 2**62, -1], _SIZES),
+        # K fits int64, but K * the largest weight reaches 2**63
+        ([2, 10**16], [1000, 1], _TOO_LARGE),
+        ([2, 2**62], [1, 1], _TOO_LARGE),
+        # K wraps int64, to a negative total or back to a positive one
+        ([2, 3], [2**62, 2**62], _TOO_LARGE),
+        ([2, 3, 4], [2**63 - 1, 2**63 - 1, 3], _TOO_LARGE),
+    ],
+)
+def test_cell_grid_rejects_each_invalid_input_with_its_message(values, sizes, message):
+    with pytest.raises(ValueError) as exc:
+        CellGrid(np.array(values, dtype=np.int64), np.array(sizes, dtype=np.int64))
+    assert str(exc.value) == message
+
+
+def test_band_is_the_frexp_exponent_whatever_the_largest_weight():
+    # the band table covers weights below 2**10 at first and grows to fit
+    # larger ones up to 2**16; beyond, or after it grew, the band is still
+    # np.frexp's exponent less one, int32 included
+    for top in [3, 1023, 1024, 5000, 2**16 - 1, 2**16, 2**17 + 3, 2**40, 9, 700]:
+        values = np.unique(np.linspace(2, top, 60).astype(np.int64))
+        grid = CellGrid(values, np.ones_like(values))
+        want = np.frexp(values)[1] - 1
+        assert grid.band.dtype == want.dtype, top
+        np.testing.assert_array_equal(grid.band, want, err_msg=str(top))
+        assert grid.num_bands == int(want[-1]) + 1
+
+
 def test_cell_grid_basic_fields():
     grid = CellGrid.from_weights(np.array([2, 3, 4, 4, 8], dtype=np.uint8))
     assert grid.total_weight == 21
@@ -226,6 +275,7 @@ def _reference_tables(weights: np.ndarray) -> dict:
         "sizes": sizes,
         "start": np.cumsum(sizes) - sizes,
         "weight_start": np.cumsum(values * sizes) - values * sizes,
+        "weight_bounds": np.append(0, np.cumsum(values * sizes)),
         "total_weight": total,
         "band": np.floor(np.log2(values)).astype(int),
         "num_bands": int(np.floor(np.log2(values[-1]))) + 1,
@@ -251,6 +301,8 @@ def test_grid_class_tables_match_unique_reference(weights, seed):
     ref = _reference_tables(w)
     for name, expected in ref.items():
         np.testing.assert_array_equal(getattr(grid, name), expected, err_msg=name)
+    assert grid.start.dtype == grid.weight_start.dtype == grid.weight_bounds.dtype == np.int64
+    assert grid.weight_bounds[-1] == grid.total_weight
     assert grid.cell_group.dtype == np.int16
     # a draw x in [0, W) lands on the first cell whose running weight exceeds x
     x = np.random.default_rng(seed).integers(0, ref["total_weight"], 200)

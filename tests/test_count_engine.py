@@ -235,6 +235,57 @@ def test_sparse_step_places_nodes_with_choose_cells():
         assert step_rng.random() == direct_rng.random(), (case, beta)
 
 
+def _sorted_exposure_by_class_starts(
+    grid: CellGrid, infectious: int, beta: float, rng: np.random.Generator
+) -> np.ndarray:
+    """_sorted_exposure as it first read the classes: a search of the class
+    starts, the last class closed by |I|, and a fresh 0 .. m - 1 repeated."""
+    x = rng.integers(0, grid.total_weight, infectious)
+    x.sort()
+    begin = x.searchsorted(grid.weight_start)
+    held = np.empty_like(begin)
+    np.subtract(begin[1:], begin[:-1], out=held[:-1])
+    held[-1] = infectious - begin[-1]
+    cls = np.arange(held.size).repeat(held)
+    attractiveness.place(grid, x, cls)
+    new = np.empty(infectious + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:-1])
+    if beta >= 1.0:
+        return np.bincount(cls[new[:-1]], minlength=held.size)
+    first = new.nonzero()[0]
+    return np.bincount(
+        cls[first[:-1]], weights=_infection_probability(first[1:] - first[:-1], beta), minlength=held.size
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_grid(preset_industrialized(10**5).params, substream(8, 0, 0)),
+        lambda: build_grid(preset_emerging(10**4).params, substream(8, 0, 0)),
+        lambda: build_grid(preset_emerging(10**6).params, substream(8, 0, 0)),
+        lambda: CellGrid.from_weights([2]),
+        lambda: CellGrid.from_weights([3, 2, 3, 7]),
+        lambda: CellGrid.from_weights([2, 2, 5, 9, 9, 9, 40]),
+    ],
+    ids=["industrialized_1e5", "emerging_1e4", "emerging_1e6", "one_cell", "three_classes", "four_classes"],
+)
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_sorted_step_matches_the_class_start_search_bit_for_bit(make, beta):
+    # |I| from 1 up to the last count that still sorts, on grids whose last
+    # class may hold no node: the same sums, dtype and all, and the same draws
+    grid = make()
+    switch = next(i for i in itertools.count(1) if not _sparse_is_cheaper(grid, i))
+    sizes = sorted({*range(1, 40), *np.geomspace(40, switch - 1, 12).astype(int).tolist(), switch - 1})
+    rng, oracle_rng = substream(8, 1, 1), substream(8, 1, 1)
+    for infectious in sizes:
+        got = _sorted_exposure(grid, infectious, beta, rng)
+        want = _sorted_exposure_by_class_starts(grid, infectious, beta, oracle_rng)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), infectious
+    assert rng.random() == oracle_rng.random()
+
+
 def _exact_q_moments(grid: CellGrid, infectious: int, beta: float) -> tuple[float, float]:
     """E[Q] and E[Q**2] for Q = sum_v p_v X_v, where X_v = 1 - (1 - beta) ** m_v.
 

@@ -103,6 +103,23 @@ def test_builder_rejects_overflowing_band():
     np.testing.assert_array_equal(trace.new_by_group, [[0], [1]])
 
 
+@pytest.mark.parametrize("rows", [1, 2, 8, 9, 10, 17, 40])
+def test_builder_stacks_each_log_row_in_order(rows):
+    # the logs grow by an eighth at a time while the rows are copied: every
+    # count of rows, on either side of a growth, gives the stacked rows
+    gen = np.random.default_rng(rows)
+    cells = [gen.integers(0, 50, 7) for _ in range(rows)]
+    masks = [gen.random(7) < 0.5 for _ in range(rows)]
+    builder = TraceBuilder((8, 2, 0), num_groups=1)
+    for c, m in zip(cells, masks):
+        builder.record_logs(c, m)
+    trace = builder.finalize()
+    assert trace.cell_log.dtype == np.int64 and trace.infectious_log.dtype == bool
+    np.testing.assert_array_equal(trace.cell_log, np.array(cells))
+    np.testing.assert_array_equal(trace.infectious_log, np.array(masks))
+    assert TraceBuilder((8, 2, 0), num_groups=1).finalize().infectious_log is None
+
+
 def test_builder_rejects_zero_groups():
     with pytest.raises(ValueError):
         TraceBuilder((8, 2, 0), num_groups=0)
