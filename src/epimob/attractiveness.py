@@ -225,21 +225,11 @@ class Pieces(NamedTuple):
     block_first: np.ndarray
 
 
+# 2**0 .. 2**62: one less than how many of them are at most v is
+# floor(log2(v)), exact for every positive int64 v
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63))
+
 _TOO_LARGE = "grid too large: num_cells * the largest weight must be below 2**63"
-
-# CellGrid reads each class's band from a table of floor(log2(v)), built for
-# every v below a power of two, at least 2**10 and at most 2**BAND_TABLE_BITS;
-# a grid with a larger weight computes its bands
-BAND_TABLE_BITS = 16
-
-
-@lru_cache(maxsize=None)
-def _band_table(bits: int) -> np.ndarray:
-    """np.frexp(v)[1] - 1, which is floor(log2(v)), for v < 2**bits; read-only as it is shared."""
-    table = np.frexp(np.arange(2**bits))[1] - 1
-    table.flags.writeable = False
-    return table
-
 
 # choose_cells finds a draw's class in a table of power-of-two buckets of
 # [0, W): BUCKETS_PER_CLASS * m rounded up to a power of two, and so fewer
@@ -273,14 +263,14 @@ class CellGrid:
                    place() computes fit int64
 
     Cells are numbered in class order.  Built once, by one running total
-    over the classes: num_cells K; total_weight W; band[c] = floor(log2(v_c))
-    (int32, read from a shared table); num_bands, the band columns of a
-    StepReport; start[c], where class c begins; weight_start[c], the total
-    weight of the classes before c, and weight_bounds, the same with W
-    appended, so class c owns the integers weight_bounds[c] up to
-    weight_bounds[c + 1]; base[c] = start[c] * v_c - weight_start[c], so the
-    integer x of class c belongs to cell (x + base[c]) // v_c; bucket_shift
-    and num_buckets, the shape of choose_cells' table.
+    over the classes: num_cells K; total_weight W; band[c] = floor(log2(v_c));
+    num_bands, the band columns of a StepReport; start[c], where class c
+    begins; weight_start[c], the total weight of the classes before c, and
+    weight_bounds, the same with W appended, so class c owns the integers
+    weight_bounds[c] up to weight_bounds[c + 1]; base[c] = start[c] * v_c -
+    weight_start[c], so the integer x of class c belongs to cell
+    (x + base[c]) // v_c; bucket_shift and num_buckets, the shape of
+    choose_cells' table.
 
     Built on first use, so the count-level engine never holds anything of
     length K: per cell, attractiveness and cell_group (int16 band); pieces,
@@ -331,12 +321,8 @@ class CellGrid:
         self.weight_bounds = table[1]
         self.weight_start = self.weight_bounds[:-1]
         self.num_bands = top.bit_length()
-        # np.frexp's exponent less one, in value and dtype, either way
-        table_bits = max(self.num_bands, 10)
-        if table_bits <= BAND_TABLE_BITS:
-            self.band = _band_table(table_bits)[values]
-        else:
-            self.band = np.frexp(values)[1] - 1
+        # np.frexp would round v to a double, one band too high for some v >= 2**53
+        self.band = np.subtract(_POWERS_OF_TWO.searchsorted(values, "right"), 1, dtype=np.int32)
         # below 2**63: start * v < K * values[-1], checked above
         self.base = self.start * values - self.weight_start
         bits = (BUCKETS_PER_CLASS * values.size - 1).bit_length()

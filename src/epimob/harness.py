@@ -193,14 +193,12 @@ def run_replicate(config: ScenarioConfig, replicate: int) -> tuple[ReplicateSumm
         fire_due()
 
     trace = builder.finalize()
-    # read as SimulationTrace reads its last row: extinct at that row's step
-    # if no node is infected there, else capped
-    last_step, infected, survivors = builder.last_row()
+    extinction_step, ever_infected, survivors = builder.end_state()
     summary = ReplicateSummary(
         replicate=replicate,
         seed=derive_seed(config.seed, replicate),
-        extinction_step=None if infected else last_step,
-        ever_infected=params.n - survivors,
+        extinction_step=extinction_step,
+        ever_infected=ever_infected,
         survivors=survivors,
         fired_steps=tuple(fired),
     )

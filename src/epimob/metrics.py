@@ -44,11 +44,11 @@ class SimulationTrace:
 
     @property
     def survivors(self) -> int:
-        return int(self.uninfected[-1])
+        return self.end_state[2]
 
     @property
     def ever_infected(self) -> int:
-        return self.n - self.survivors
+        return self.end_state[1]
 
     @property
     def last_step(self) -> int:
@@ -56,11 +56,30 @@ class SimulationTrace:
 
     @property
     def cap_reached(self) -> bool:
-        return bool(self.infected[-1])
+        return self.extinction_step is None
 
     @property
     def extinction_step(self) -> Optional[int]:
-        return None if self.cap_reached else self.last_step
+        return self.end_state[0]
+
+    @property
+    def end_state(self) -> tuple:
+        """(extinction_step, ever_infected, survivors), as Python ints."""
+        return _end_state(self._row(0), self._row(-1))
+
+    def _row(self, j: int) -> tuple:
+        return tuple(int(col[j]) for col in (self.steps, self.infected, self.uninfected, self.recovered))
+
+
+def _end_state(first: tuple, last: tuple) -> tuple:
+    """(extinction_step, ever_infected, survivors) from a run's first and last (step, I, U, R) rows.
+
+    The last row alone says how the run ended: extinct at its step if no
+    node is infected there, else capped, and extinction_step is None.
+    """
+    _, i0, u0, r0 = first
+    step, infected, survivors, _ = last
+    return (None if infected else step), i0 + u0 + r0 - survivors, survivors
 
 
 class TraceBuilder:
@@ -106,9 +125,12 @@ class TraceBuilder:
         self._cell_rows.append(np.asarray(cells, dtype=np.int64))
         self._infectious_rows.append(np.asarray(infectious_mask, dtype=bool))
 
-    def last_row(self) -> tuple:
-        """step, I and U of the last recorded row, as Python ints."""
-        return self._rows[-1][:3]
+    def end_state(self) -> tuple:
+        """(extinction_step, ever_infected, survivors) of the rows so far, as Python ints.
+
+        The same rule as SimulationTrace.end_state, read without building the trace.
+        """
+        return _end_state(self._rows[0][:4], self._rows[-1][:4])
 
     def finalize(self) -> SimulationTrace:
         """Freeze the records into a SimulationTrace; the logs move into it, not copied twice."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,15 +43,14 @@ class _Key:
     TypeError.
     """
 
-    __slots__ = ("words",)
+    __slots__ = ("word",)
 
     def __init__(self, word: int) -> None:
-        self.words = np.array([word, 0], dtype=np.uint64)
-        self.words.flags.writeable = False
+        self.word = word
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # Philox asks only for its two uint64 key words, and copies them
-        return self.words
+        # Philox asks only for its two uint64 key words
+        return np.array([self.word, 0], dtype=np.uint64)
 
 
 @lru_cache(maxsize=None)
@@ -68,16 +67,10 @@ def _generator_types() -> tuple[type, type]:
     return Generator, Philox
 
 
-@lru_cache(maxsize=16)
-def _key(master_seed: int) -> _Key:
-    """The _Key of a master seed, which every stream of its run shares."""
-    return _Key(_word(master_seed))
-
-
 def _philox(master_seed: int, replicate: int, role: int):
     # an array counter converts faster than the int r * 2**128 + role * 2**192
     counter = np.array([0, 0, _word(replicate), _word(role)], dtype=np.uint64)
-    return _generator_types()[1](_key(master_seed), counter=counter)
+    return _generator_types()[1](_Key(_word(master_seed)), counter=counter)
 
 
 def derive_seed(master_seed: int, replicate: int) -> int:
@@ -90,32 +83,14 @@ def substream(master_seed: int, replicate: int, role: int) -> np.random.Generato
     return _generator_types()[0](_philox(master_seed, replicate, role))
 
 
-class _Stream:
-    """A ReplicateStreams field: substream(master_seed, replicate, role), built on first access.
-
-    functools.cached_property does the same, but before Python 3.12 it also
-    takes a lock on each first access, three of them a count replicate.
-    """
-
-    def __init__(self, role: int) -> None:
-        self.role = role
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, streams, owner=None):
-        if streams is None:
-            return self
-        stream = streams.__dict__[self.name] = substream(streams.master_seed, streams.replicate, self.role)
-        return stream
-
-
 @dataclass
 class ReplicateStreams:
     """The four independent random streams consumed by one replicate.
 
-    Each is substream(master_seed, replicate, role), built on first access:
-    the count-level engine never builds init.
+    Each is substream(master_seed, replicate, role).  A run reads grid,
+    movement and transmission in every replicate that takes a step, so they
+    are built with the bundle; init is built on first access, as the
+    count-level engine never reads it.
 
     grid:         cell attractiveness draws, including rebuilds after a
                   parameter change mid-run
@@ -128,10 +103,13 @@ class ReplicateStreams:
     master_seed: int
     replicate: int
 
-    grid = _Stream(ROLE_GRID)
-    init = _Stream(ROLE_INIT)
-    movement = _Stream(ROLE_MOVEMENT)
-    transmission = _Stream(ROLE_TRANSMISSION)
+    init = cached_property(lambda self: substream(self.master_seed, self.replicate, ROLE_INIT))
+
+    def __post_init__(self) -> None:
+        seed, replicate = self.master_seed, self.replicate
+        self.grid = substream(seed, replicate, ROLE_GRID)
+        self.movement = substream(seed, replicate, ROLE_MOVEMENT)
+        self.transmission = substream(seed, replicate, ROLE_TRANSMISSION)
 
     @classmethod
     def from_seed(cls, master_seed: int, replicate: int) -> "ReplicateStreams":

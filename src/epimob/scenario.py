@@ -58,9 +58,6 @@ class PrevalenceReached:
 
 TriggerCondition = Union[TimeReached, PrevalenceReached]
 
-# walks InterventionSchedule.reachable keeps per schedule
-REACHED_KEPT = 16
-
 # overlay keys allowed on the right-hand side of a trigger
 _OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 
@@ -132,9 +129,6 @@ class InterventionSchedule:
     """
 
     triggers: tuple = ()
-    # repr(params) -> what reachable(params) returned, for up to
-    # REACHED_KEPT params; a walk that raised is not kept
-    _reached: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triggers", tuple(self.triggers))
@@ -163,18 +157,9 @@ class InterventionSchedule:
         differ in type (kappa=1 against kappa=1.0), and so in what they
         compute.  Every merge revalidates, so a reachable invalid grid raises
         ConfigError, naming the triggers that reach it in firing order.
-
-        The walk is kept per schedule, keyed by repr(params), so a config
-        rebuilt with other run fields (dataclasses.replace(config, seed=...))
-        neither merges nor revalidates again; a kept walk's moves are shared
-        and must not be changed.
         """
-        key = repr(params)
-        kept = self._reached.get(key)
-        if kept is not None:
-            return (params, *kept[0][1:]), kept[1]
         param_sets = [params]
-        index = {key: 0}
+        index = {repr(params): 0}
         moves = {}
 
         def fire(k: int, row: dict) -> dict:
@@ -202,10 +187,7 @@ class InterventionSchedule:
             row[0] = fire(time, row[0])
             for j, prev in enumerate(prevs, start=1):
                 row[j] = fire(time, row[j]) | fire(prev, row[j - 1])
-        if len(self._reached) >= REACHED_KEPT:
-            self._reached.clear()
-        walk = self._reached[key] = tuple(param_sets), moves
-        return walk
+        return tuple(param_sets), moves
 
     def __len__(self) -> int:
         return len(self.triggers)

@@ -239,17 +239,22 @@ def test_cell_grid_rejects_each_invalid_input_with_its_message(values, sizes, me
     assert str(exc.value) == message
 
 
-def test_band_is_the_frexp_exponent_whatever_the_largest_weight():
-    # the band table covers weights below 2**10 at first and grows to fit
-    # larger ones up to 2**16; beyond, or after it grew, the band is still
-    # np.frexp's exponent less one, int32 included
-    for top in [3, 1023, 1024, 5000, 2**16 - 1, 2**16, 2**17 + 3, 2**40, 9, 700]:
+def test_band_is_the_exact_floor_log2_of_each_weight():
+    # below 2**53 that is np.frexp's exponent less one, int32 included, so
+    # no preset grid's bands moved
+    for top in [3, 1023, 1024, 5000, 2**16 - 1, 2**16, 2**17 + 3, 2**40, 2**53 - 1]:
         values = np.unique(np.linspace(2, top, 60).astype(np.int64))
         grid = CellGrid(values, np.ones_like(values))
         want = np.frexp(values)[1] - 1
         assert grid.band.dtype == want.dtype, top
         np.testing.assert_array_equal(grid.band, want, err_msg=str(top))
         assert grid.num_bands == int(want[-1]) + 1
+    # above, a double can round v up to a power of two; every band must still
+    # have its column, so a count step reports each new case in a real band
+    for top in [2**53 + 1, 2**60 - 1, 2**62 - 1]:
+        grid = CellGrid(np.array([2, top]), np.array([1, 1]))
+        assert grid.band.tolist() == [1, top.bit_length() - 1]
+        assert grid.num_bands == top.bit_length()
 
 
 def test_cell_grid_basic_fields():

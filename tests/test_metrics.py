@@ -78,6 +78,7 @@ def test_the_last_row_says_how_the_run_ended():
     trace = capped.finalize()
     assert trace.cap_reached
     assert trace.extinction_step is None
+    assert capped.end_state() == trace.end_state == (None, 4, 6)
     extinct = TraceBuilder((8, 2, 0), num_groups=1)
     extinct.record(_report(1, 1, [0, 1]), (7, 3, 0))
     extinct.record(_report(2, 0, [0, 0], recovered=3), (7, 0, 3))
@@ -85,6 +86,8 @@ def test_the_last_row_says_how_the_run_ended():
     assert not trace.cap_reached
     assert trace.extinction_step == 2
     assert isinstance(trace.extinction_step, int)
+    assert extinct.end_state() == trace.end_state == (2, 3, 7)
+    assert all(type(v) is int for v in extinct.end_state() + trace.end_state)
 
 
 def test_builder_rejects_band_zero_infections():

@@ -246,52 +246,6 @@ def test_reachable_sets_keep_equal_params_of_another_type_apart():
     assert type(as_int.kappa) is int and type(as_float.kappa) is float
 
 
-def test_rebuilt_config_reuses_its_schedules_walk(monkeypatch):
-    params = EpidemicParams(n=10_000, alpha=2.8, kappa=2.0, tau=2)
-    schedule = InterventionSchedule((
-        Trigger(TimeReached(3), ParamOverlay(kappa=1)),
-        Trigger(PrevalenceReached(0.1), ParamOverlay(alpha=6.0, tau=3)),
-    ))
-    config = ScenarioConfig(params=params, schedule=schedule, seed=1)
-    merges = []
-    real_merge = ParamOverlay.merge
-    monkeypatch.setattr(ParamOverlay, "merge", lambda self, p: merges.append(p) or real_merge(self, p))
-    # a rebuild with another seed, and one from equal params, merge nothing
-    # and keep their own params as set 0
-    for rebuilt in (
-        dataclasses.replace(config, seed=2),
-        ScenarioConfig(params=dataclasses.replace(params), schedule=schedule),
-    ):
-        assert rebuilt.param_sets[0] is rebuilt.params
-        assert [repr(p) for p in rebuilt.param_sets] == [repr(p) for p in config.param_sets]
-        assert rebuilt.moves == config.moves and rebuilt.band_width == config.band_width
-    assert merges == []
-    # kappa=1 and kappa=1.0 are equal params that compute apart: each walks
-    # its own sets
-    as_int = ScenarioConfig(params=dataclasses.replace(params, kappa=1), schedule=schedule)
-    as_float = ScenarioConfig(params=dataclasses.replace(params, kappa=1.0), schedule=schedule)
-    assert as_int.params == as_float.params and len(merges) > 0
-    assert [type(p.kappa) for p in as_int.param_sets] == [int] * len(as_int.param_sets)
-    assert type(as_float.param_sets[0].kappa) is float
-    assert [repr(p) for p in as_int.param_sets] != [repr(p) for p in as_float.param_sets]
-
-
-def test_rebuilding_a_config_with_an_unreachable_grid_raises_each_time():
-    # a walk that raised is not kept, so every build raises the same error
-    params = EpidemicParams(n=100, alpha=2.8, kappa=1.0, tau=1)
-    schedule = InterventionSchedule((
-        Trigger(TimeReached(2), ParamOverlay(alpha=3.0)),
-        Trigger(TimeReached(4), ParamOverlay(alpha=50.0)),
-    ))
-    messages = []
-    for seed in (1, 1, 2):
-        with pytest.raises(ConfigError, match="support") as exc:
-            ScenarioConfig(params=params, schedule=schedule, seed=seed)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1] == messages[2]
-    assert "time:4->alpha=50.0" in messages[0]
-
-
 def test_schedule_orders_within_condition_kind():
     t = lambda s: Trigger(TimeReached(s), ParamOverlay(tau=1))
     p = lambda f: Trigger(PrevalenceReached(f), ParamOverlay(tau=1))
