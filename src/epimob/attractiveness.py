@@ -11,12 +11,12 @@ histogram: the distinct weights in increasing order and the number of cells
 at each, with cells numbered in class order.  A draw is one exact integer x
 uniform on [0, W): class c owns the v_c * n_c integers from the total weight
 of the classes before it, and each of its cells owns v_c of them, so finding
-x's class and one division find the cell.  The class comes from a table of
-power-of-two buckets of [0, W), about BUCKETS_PER_CLASS a class (the indexed
-search of Chen and Asau, 1974), and a binary search over the m class
-boundaries settles only the draws in a bucket that straddles two classes.
-Per-cell views and the table are built on first use, so the count-level
-engine, which reads only the class tables, never holds anything of length K.
+x's class and one division find the cell.  When W is at most
+DIRECT_PER_CLASS integers a class, a table of the cell of every integer of
+[0, W) gives x's cell at once; otherwise a binary search over the class
+boundaries finds x's class.  Per-cell views and the table are built on first
+use, so the count-level engine, which reads only the class tables, never
+holds anything of length K.
 
 build_grid draws the histogram as Multinomial(K, power-law pmf) in O(m).
 CellGrid.from_weights counts the distinct values of explicit weights, so
@@ -231,26 +231,9 @@ _POWERS_OF_TWO = np.left_shift(1, np.arange(63))
 
 _TOO_LARGE = "grid too large: num_cells * the largest weight must be below 2**63"
 
-# choose_cells finds a draw's class in a table of power-of-two buckets of
-# [0, W): BUCKETS_PER_CLASS * m rounded up to a power of two, and so fewer
-# than 2 * BUCKETS_PER_CLASS * m of them.
-BUCKETS_PER_CLASS = 16
-
-
-class Buckets(NamedTuple):
-    """[0, W) cut into CellGrid.num_buckets buckets of 2**bucket_shift integers.
-
-    A draw x lies in bucket x >> bucket_shift.  A bucket straddles a class
-    boundary when its first and last integers are of different classes.
-    Otherwise all its integers are of one class c, and base and value hold
-    base[c] and v_c, so x lands on cell (x + base) // value; a straddling
-    bucket holds 0 and 1 there instead, which maps x to x until its class is
-    searched for.
-    """
-
-    base: np.ndarray
-    value: np.ndarray
-    straddles: np.ndarray
+# choose_cells reads CellGrid.cell_of, which has W entries, only on grids of
+# W <= DIRECT_PER_CLASS * m for m classes, so that table never grows with K.
+DIRECT_PER_CLASS = 32
 
 
 @dataclass(eq=False)
@@ -265,17 +248,16 @@ class CellGrid:
     Cells are numbered in class order.  Built once, by one running total
     over the classes: num_cells K; total_weight W; band[c] = floor(log2(v_c));
     num_bands, the band columns of a StepReport; start[c], where class c
-    begins; weight_start[c], the total weight of the classes before c, and
-    weight_bounds, the same with W appended, so class c owns the integers
-    weight_bounds[c] up to weight_bounds[c + 1]; base[c] = start[c] * v_c -
-    weight_start[c], so the integer x of class c belongs to cell
-    (x + base[c]) // v_c; bucket_shift and num_buckets, the shape of
-    choose_cells' table.
+    begins; weight_bounds, the total weight of the classes before each class,
+    with W appended, so class c owns the integers weight_bounds[c] up to
+    weight_bounds[c + 1]; base[c] = start[c] * v_c - weight_bounds[c], so the
+    integer x of class c belongs to cell (x + base[c]) // v_c.
 
     Built on first use, so the count-level engine never holds anything of
     length K: per cell, attractiveness and cell_group (int16 band); pieces,
-    for dense count steps; for choose_cells, buckets, or cell_of, the cell
-    of every integer of [0, W) when each bucket is one integer.
+    for dense count steps; cell_of, the cell of every integer of [0, W),
+    which choose_cells reads on grids of W <= DIRECT_PER_CLASS * m for m
+    classes.
     """
 
     values: np.ndarray
@@ -286,11 +268,8 @@ class CellGrid:
     band: np.ndarray = field(init=False, repr=False)
     num_bands: int = field(init=False)
     start: np.ndarray = field(init=False, repr=False)
-    weight_start: np.ndarray = field(init=False, repr=False)
     weight_bounds: np.ndarray = field(init=False, repr=False)
     base: np.ndarray = field(init=False, repr=False)
-    bucket_shift: int = field(init=False)
-    num_buckets: int = field(init=False)
 
     def __post_init__(self) -> None:
         values = self.values = np.asarray(self.values, dtype=np.int64)
@@ -319,15 +298,11 @@ class CellGrid:
             raise ValueError(_TOO_LARGE)
         self.start = cells[:-1]
         self.weight_bounds = table[1]
-        self.weight_start = self.weight_bounds[:-1]
         self.num_bands = top.bit_length()
         # np.frexp would round v to a double, one band too high for some v >= 2**53
         self.band = np.subtract(_POWERS_OF_TWO.searchsorted(values, "right"), 1, dtype=np.int32)
         # below 2**63: start * v < K * values[-1], checked above
-        self.base = self.start * values - self.weight_start
-        bits = (BUCKETS_PER_CLASS * values.size - 1).bit_length()
-        self.bucket_shift = max((self.total_weight - 1).bit_length() - bits, 0)
-        self.num_buckets = ((self.total_weight - 1) >> self.bucket_shift) + 1
+        self.base = self.start * values - self.weight_bounds[:-1]
 
     @classmethod
     def from_weights(cls, weights) -> "CellGrid":
@@ -373,21 +348,6 @@ class CellGrid:
         )
 
     @cached_property
-    def buckets(self) -> Buckets:
-        shift = self.bucket_shift
-        # class c starts in bucket weight_start[c] >> shift, and makes it
-        # straddle unless it starts at the bucket's first integer; every
-        # bucket that does not straddle lies inside the last class starting
-        # at or before it
-        counts = np.diff(self.weight_start >> shift, append=self.num_buckets)
-        straddles = np.zeros(self.num_buckets, dtype=bool)
-        straddles[self.weight_start[(self.weight_start & ((1 << shift) - 1)) != 0] >> shift] = True
-        base, value = np.repeat(self.base, counts), np.repeat(self.values, counts)
-        base[straddles] = 0
-        value[straddles] = 1
-        return Buckets(base, value, straddles)
-
-    @cached_property
     def cell_of(self) -> np.ndarray:
         return np.repeat(np.arange(self.num_cells, dtype=np.int64), self.attractiveness)
 
@@ -422,9 +382,9 @@ def build_grid(params: EpidemicParams, rng: np.random.Generator) -> CellGrid:
 def place(grid: CellGrid, x: np.ndarray, cls: np.ndarray) -> None:
     """Turn integers x of [0, W), of classes cls, into their cells, in place.
 
-    Class c owns the v_c * n_c integers from weight_start[c], and each of
+    Class c owns the v_c * n_c integers from weight_bounds[c], and each of
     its cells owns v_c of them in turn, so x of class c lands on cell
-    start[c] + (x - weight_start[c]) // v_c = (x + base[c]) // v_c.
+    start[c] + (x - weight_bounds[c]) // v_c = (x + base[c]) // v_c.
     """
     x += grid.base[cls]
     x //= grid.values[cls]
@@ -434,28 +394,15 @@ def choose_cells(grid: CellGrid, rng: np.random.Generator, size: int) -> np.ndar
     """Sample `size` cell ids, each independently with probability d_v / W.
 
     Exact in law: each draw is one integer x uniform on [0, W), placed on
-    its cell by place.  x's class is the number of classes after the first
-    that start at or below it.
-
-    The class of most draws needs no search, and the grid alone picks the
-    table.  When W <= num_buckets every bucket is one integer, and
-    grid.cell_of gives the cell of x directly.  Otherwise, in a bucket of
-    grid.buckets that does not straddle a class boundary, every integer is
-    of the bucket's one class; only the draws in a straddling bucket are
-    binary searched over the class boundaries.  Either table has fewer than
-    2 * BUCKETS_PER_CLASS * m entries and is built on the first call.  Both
-    paths give each x the same cell.
+    its cell.  The grid alone picks one of two paths, which give each x the
+    same cell, so the path taken moves no draw.  On a grid of m classes and
+    W <= DIRECT_PER_CLASS * m, grid.cell_of, built on the first call, gives
+    the cell of x directly.  Otherwise x's class, the number of classes
+    after the first that start at or below it, is binary searched over the
+    class boundaries, and place finds the cell.
     """
     x = rng.integers(0, grid.total_weight, size)
-    shift = grid.bucket_shift
-    if not shift:
+    if grid.total_weight <= DIRECT_PER_CLASS * grid.values.size:
         return grid.cell_of[x]
-    table = grid.buckets
-    b = x >> shift
-    straddle = table.straddles.take(b).nonzero()[0]
-    xs = x[straddle]
-    place(grid, xs, grid.weight_start[1:].searchsorted(xs, side="right"))
-    x += table.base.take(b)
-    x //= table.value.take(b)
-    x[straddle] = xs
+    place(grid, x, grid.weight_bounds[1:-1].searchsorted(x, side="right"))
     return x

@@ -117,7 +117,8 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
         for f in FIELDS.values()
         if getattr(args, f.name, None) is not None
     }
-    if "out_dir" not in flags and os.environ.get(OUT_DIR_ENV):
+    # only run has --out-dir; an empty variable counts as unset
+    if hasattr(args, "out_dir") and args.out_dir is None and os.environ.get(OUT_DIR_ENV):
         flags["out_dir"] = os.environ[OUT_DIR_ENV]
     params = dataclasses.replace(
         cfg.params, **{f.name: flags.pop(f.name) for f in PARAM_FIELDS if f.name in flags}

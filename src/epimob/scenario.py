@@ -64,7 +64,7 @@ _OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 
 # serialize_config writes out_dir=<path> on one line, which parse_config cuts
 # at '#' and strips, so only such paths survive the round trip; no OS path
-# holds a NUL
+# holds a NUL, and none is empty
 RUN_FIELDS = (
     Field("seed", int, 0, lambda v: 0 <= v < 2**64,
           "seed must lie in [0, 2**64)", "master seed (64-bit)"),
@@ -76,8 +76,8 @@ RUN_FIELDS = (
           "and the CLI writes no cell log"),
     Field("out_dir", str, None,
           lambda v: "#" not in v and "\0" not in v and v == v.strip()
-          and v.splitlines() in ([], [v]),
-          "out_dir must be a string without '#', NUL, line breaks, or edge whitespace",
+          and v.splitlines() == [v],
+          "out_dir must be a non-empty string without '#', NUL, line breaks, or edge whitespace",
           "write trace/summary/manifest files here"),
 )
 

@@ -1,11 +1,12 @@
 """Grid construction and exact cell choice, by table lookup or class search."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epimob import (
@@ -18,6 +19,7 @@ from epimob import (
     power_law_pmf,
 )
 from epimob import harness
+from epimob.attractiveness import DIRECT_PER_CLASS
 from epimob.rng import substream
 from epimob.scenario import preset_emerging, preset_industrialized
 
@@ -263,7 +265,7 @@ def test_cell_grid_basic_fields():
     assert grid.num_cells == 5
     assert grid.values[-1] == 8
     assert grid.num_bands == 4
-    np.testing.assert_array_equal(grid.weight_start, [0, 2, 5, 13])
+    np.testing.assert_array_equal(grid.weight_bounds, [0, 2, 5, 13, 21])
     probs = grid.choice_probabilities()
     assert abs(probs.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(probs, np.array([2, 3, 4, 4, 8]) / 21)
@@ -279,7 +281,6 @@ def _reference_tables(weights: np.ndarray) -> dict:
         "values": values,
         "sizes": sizes,
         "start": np.cumsum(sizes) - sizes,
-        "weight_start": np.cumsum(values * sizes) - values * sizes,
         "weight_bounds": np.append(0, np.cumsum(values * sizes)),
         "total_weight": total,
         "band": np.floor(np.log2(values)).astype(int),
@@ -306,7 +307,7 @@ def test_grid_class_tables_match_unique_reference(weights, seed):
     ref = _reference_tables(w)
     for name, expected in ref.items():
         np.testing.assert_array_equal(getattr(grid, name), expected, err_msg=name)
-    assert grid.start.dtype == grid.weight_start.dtype == grid.weight_bounds.dtype == np.int64
+    assert grid.start.dtype == grid.weight_bounds.dtype == np.int64
     assert grid.weight_bounds[-1] == grid.total_weight
     assert grid.cell_group.dtype == np.int16
     # a draw x in [0, W) lands on the first cell whose running weight exceeds x
@@ -327,23 +328,19 @@ class _EveryInteger:
         return np.arange(self.next - size, self.next) % high
 
 
-def _check_buckets(grid):
-    # each bucket's straddle flag from the classes of its first and last
-    # integers, and the class entries of every bucket that does not straddle
-    low = np.arange(grid.num_buckets) << grid.bucket_shift
-    high = np.minimum(low + (1 << grid.bucket_shift) - 1, grid.total_weight - 1)
-    first = grid.weight_start.searchsorted(low, side="right") - 1
-    last = grid.weight_start.searchsorted(high, side="right") - 1
-    table = grid.buckets
-    np.testing.assert_array_equal(table.straddles, first != last)
-    inside = first == last
-    np.testing.assert_array_equal(table.base[inside], grid.base[first[inside]])
-    np.testing.assert_array_equal(table.value[inside], grid.values[first[inside]])
-    return last - first
+def _weights_totalling(total):
+    # one or two 3s and the rest 2s: two classes, so W = 64 is the largest
+    # total that choose_cells reads from grid.cell_of
+    threes = 1 if total % 2 else 2
+    return [3] * threes + [2] * ((total - 3 * threes) // 2)
+
+
+def _direct(grid):
+    return grid.total_weight <= DIRECT_PER_CLASS * grid.values.size
 
 
 def _cached_tables(grid):
-    return {"buckets", "cell_of"} & set(vars(grid))
+    return {"cell_of"} & set(vars(grid))
 
 
 @settings(max_examples=60)
@@ -354,98 +351,78 @@ def _cached_tables(grid):
         st.tuples(st.integers(2, 2**17), st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
     ),
 )
+# W = 32 * m and W = 32 * m + 1, at one class and at two
+@example(weights=[2] * 16)
+@example(weights=[3] * 11)
+@example(weights=_weights_totalling(64))
+@example(weights=_weights_totalling(65))
 def test_choose_cells_is_exact_in_law(weights):
-    # every integer in [0, W) drawn k times lands k * d_v times on each cell
-    # v, both in one call of at least as many draws as there are buckets and
-    # in calls of fewer; the grid alone picks the table either way
+    # every integer in [0, W) drawn once lands d_v times on each cell v; the
+    # grid alone picks the path
     grid = CellGrid.from_weights(weights)
     np.testing.assert_array_equal(grid.attractiveness, np.sort(weights))
-    k = -(-grid.num_buckets // grid.total_weight)
-    cells = choose_cells(grid, _EveryInteger(), k * grid.total_weight)
-    np.testing.assert_array_equal(np.bincount(cells, minlength=grid.num_cells), k * grid.attractiveness)
-    if grid.bucket_shift == 0:
-        assert grid.cell_of.size == grid.num_buckets <= 32 * grid.values.size
-    else:
-        _check_buckets(grid)
-        assert grid.buckets.base.size == grid.num_buckets <= 32 * grid.values.size
-
-    grid = CellGrid.from_weights(weights)
-    every, chunk = _EveryInteger(), max(grid.num_buckets - 1, 1)
-    cells = np.concatenate(
-        [choose_cells(grid, every, min(chunk, grid.total_weight - x)) for x in range(0, grid.total_weight, chunk)]
-    )
+    cells = choose_cells(grid, _EveryInteger(), grid.total_weight)
     np.testing.assert_array_equal(np.bincount(cells, minlength=grid.num_cells), grid.attractiveness)
-    assert _cached_tables(grid) == ({"cell_of"} if grid.bucket_shift == 0 else {"buckets"})
+    if _direct(grid):
+        assert _cached_tables(grid) == {"cell_of"} and grid.cell_of.size == grid.total_weight
+    else:
+        assert _cached_tables(grid) == set()
 
 
 def _searched_cells(grid, x):
-    c = grid.weight_start.searchsorted(x, side="right") - 1
-    return grid.start[c] + (x - grid.weight_start[c]) // grid.values[c]
-
-
-def _weights_totalling(total):
-    # one or two 3s and the rest 2s: two classes, so 32 buckets
-    threes = 1 if total % 2 else 2
-    return [3] * threes + [2] * ((total - 3 * threes) // 2)
+    c = grid.weight_bounds.searchsorted(x, side="right") - 1
+    return grid.start[c] + (x - grid.weight_bounds[c]) // grid.values[c]
 
 
 @pytest.mark.parametrize(
-    "weights, widest",
+    "weights, direct",
     [
-        pytest.param([2, 3, 3, 5, 7, 8], 1, id="direct"),
-        pytest.param([2, 3, 4, 5, 6, 7, 8] + [9] * 300, 7, id="bucket-spans-7-classes"),
-        pytest.param([2] * 40 + [3] * 30 + [5] * 7 + [9] * 100 + [9000] * 3, 4, id="bucket-spans-4-classes"),
-        *(pytest.param(_weights_totalling(2**10 + d), 2, id=f"W=2**10{d:+d}") for d in (-1, 0, 1)),
-        pytest.param(list(range(2, 80)) * 30, 2, id="78-classes"),
+        pytest.param([2, 3, 3, 5, 7, 8], True, id="direct"),
+        pytest.param([2] * 16, True, id="1-class-W=32"),
+        pytest.param([3] * 11, False, id="1-class-W=33"),
+        *(pytest.param(_weights_totalling(64 + d), d <= 0, id=f"2-classes-W=64{d:+d}") for d in (-1, 0, 1)),
+        pytest.param([2, 3, 4, 5, 6, 7, 8] + [9] * 300, False, id="8-classes"),
+        pytest.param([2] * 40 + [3] * 30 + [5] * 7 + [9] * 100 + [9000] * 3, False, id="5-classes"),
+        pytest.param(list(range(2, 80)) * 30, False, id="78-classes"),
     ],
 )
-def test_choose_cells_matches_the_class_search(weights, widest):
+def test_choose_cells_matches_the_class_search(weights, direct):
     grid = CellGrid.from_weights(weights)
     m, total = grid.values.size, grid.total_weight
-    if grid.bucket_shift:
-        assert _check_buckets(grid).max() + 1 == widest
-        assert grid.num_buckets == ((total - 1) >> grid.bucket_shift) + 1 <= 32 * m
-    else:
-        assert widest == 1 and total <= grid.num_buckets
-    # calls of fewer draws than there are buckets, and of more
-    gate = grid.num_buckets
-    for size in (0, 1, gate - 1, gate, 3 * total + 5):
+    assert _direct(grid) == direct
+    for size in (0, 1, 2 * m, 3 * total + 5):
         x = np.random.default_rng(size).integers(0, total, size)
         cells = choose_cells(grid, np.random.default_rng(size), size)
         assert cells.dtype == np.int64
         np.testing.assert_array_equal(cells, _searched_cells(grid, x))
-    for size in (0, gate - 1, gate):
-        fresh = CellGrid.from_weights(weights)
-        choose_cells(fresh, np.random.default_rng(0), size)
-        assert _cached_tables(fresh) == ({"cell_of"} if fresh.bucket_shift == 0 else {"buckets"})
-
-
-def test_table_shape_at_powers_of_two():
-    # the bucket width doubles once W - 1 gains a bit; the last bucket may be short
-    shapes = [
-        (g.bucket_shift, g.num_buckets)
-        for g in (CellGrid.from_weights(_weights_totalling(2**10 + d)) for d in (-1, 0, 1))
-    ]
-    assert shapes == [(5, 32), (5, 32), (6, 17)]
-    assert CellGrid.from_weights(_weights_totalling(32)).bucket_shift == 0
+    assert _cached_tables(grid) == ({"cell_of"} if direct else set())
 
 
 # sha256 of the cells that 10**6 draws at substream(7, 0, 2) pick on the
-# preset_emerging(10**6) grid built at substream(1, 0, 0) (137 classes, 3393
-# buckets), as engine_version 0.8.0 draws them
+# preset_emerging(10**6) grid built at substream(1, 0, 0) (137 classes, so
+# searched), as engine_version 0.8.0 draws them
 EMERGING_1E6_CELLS = "99b4ee1af65eb527cb02fe53e01a360643282e4c0f3ae5b620648d4649e8a9a8"
 
 
-def test_bucket_path_draws_are_pinned():
+def test_emerging_1e6_draws_are_pinned():
     grid = build_grid(preset_emerging(10**6).params, substream(1, 0, 0))
     cells = choose_cells(grid, substream(7, 0, 2), 10**6)
-    assert "buckets" in vars(grid)
     assert hashlib.sha256(cells.astype("<i8").tobytes()).hexdigest() == EMERGING_1E6_CELLS
 
 
-def test_short_count_replicates_build_no_table(monkeypatch):
-    # the industrialized preset's sorted count steps draw far fewer cells
-    # than its grid has buckets, so they never pay for the table
+@pytest.mark.parametrize(
+    "preset, n, beta, cached",
+    [
+        # sorted count steps only
+        pytest.param(preset_industrialized, 10**5, 1.0, set(), id="industrialized_1e5"),
+        # dense count steps too
+        pytest.param(preset_emerging, 10**5, 1.0, {"pieces"}, id="emerging_1e5"),
+        pytest.param(preset_emerging, 50_000, 0.5, {"pieces"}, id="emerging_5e4-beta-0.5"),
+    ],
+)
+def test_count_replicates_cache_no_per_cell_view(monkeypatch, preset, n, beta, cached):
+    # a count replicate reads the class tables, and the pieces when it takes
+    # dense steps, but never a view of length K
     grids = []
 
     def keep(params, rng):
@@ -453,9 +430,11 @@ def test_short_count_replicates_build_no_table(monkeypatch):
         return grids[-1]
 
     monkeypatch.setattr(harness, "build_grid", keep)
-    harness.run_replicate(preset_industrialized(10**5), 0)
-    assert len(grids) == 1 and grids[0].num_buckets > 100
-    assert _cached_tables(grids[0]) == set()
+    config = preset(n)
+    harness.run_replicate(dataclasses.replace(config, params=dataclasses.replace(config.params, beta=beta)), 0)
+    assert grids
+    for grid in grids:
+        assert set(vars(grid)) & {"attractiveness", "cell_group", "cell_of", "pieces"} == cached
 
 
 def test_choose_single_cell_grid():

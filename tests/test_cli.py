@@ -89,6 +89,18 @@ def test_run_refuses_nul_in_out_dir(tmp_path, capsys):
     assert "config error: line 2: out_dir" in err and "NUL" in err
 
 
+def test_empty_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("n=300\nout_dir=\n")
+    assert cli_main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 2: out_dir must be a non-empty string")
+    calls = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    assert cli_main(["run", "--n", "300", "--out-dir", ""]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir must be a non-empty string")
+    assert calls == []
+
+
 def test_unusable_out_dir_fails_before_any_replicate(tmp_path, capsys, monkeypatch):
     (tmp_path / "afile").write_text("")
     calls = []
@@ -165,6 +177,26 @@ def test_out_dir_env_var_and_flag_precedence(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert (flag_dir / "summary.csv").exists()
     assert not (env_dir / "trace_0001.csv").exists()  # env dir untouched by 2nd run
+
+
+def test_empty_out_dir_env_var_counts_as_unset(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(OUT_DIR_ENV, "")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", "--n", "300", "--tau", "2"]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_ignores_the_out_dir_env_var(capsys, monkeypatch):
+    # only run writes files, so a value run would refuse leaves oracle alone
+    argv = ["oracle", "--n", "500", "--seed", "11", "--i-count", "2", "--u-count", "3"]
+    assert cli_main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv(OUT_DIR_ENV, "a#b")
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert cli_main(["run", "--n", "300"]) == 2
+    assert "out_dir" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

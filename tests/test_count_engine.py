@@ -31,6 +31,7 @@ from epimob import (
     run_replications,
 )
 from epimob import attractiveness, dynamics, harness
+from epimob.attractiveness import DIRECT_PER_CLASS
 from epimob.dynamics import _class_exposure, _infection_probability, _sorted_exposure, _sparse_is_cheaper
 from epimob.rng import substream
 from epimob.scenario import preset_emerging, preset_industrialized
@@ -202,12 +203,12 @@ def _collapse_by_unique(cells: np.ndarray, grid: CellGrid, beta: float) -> np.nd
 
 
 _SORTED_GRIDS = {
-    # W <= num_buckets: choose_cells reads grid.cell_of
+    # W <= 32 * m: choose_cells reads grid.cell_of
     "cell_of": (lambda: CellGrid.from_weights([2, 3, 3, 5, 8, 8, 8, 13] * 2), 500),
-    # fewer draws than num_buckets: choose_cells binary searches every class
+    # W > 32 * m, as on every grid below: choose_cells binary searches the
+    # class of every draw, here of few draws and of many
     "searched": (lambda: build_grid(preset_industrialized(10**5).params, substream(6, 0, 0)), 30),
-    # at least num_buckets draws: the bucket table
-    "buckets": (lambda: build_grid(preset_industrialized(10**5).params, substream(6, 0, 0)), 2**10),
+    "searched_1024": (lambda: build_grid(preset_industrialized(10**5).params, substream(6, 0, 0)), 2**10),
     "emerging_1e6": (lambda: build_grid(preset_emerging(10**6).params, substream(6, 0, 0)), 10_000),
     "emerging_1e8": (lambda: build_grid(preset_emerging(10**8).params, substream(6, 0, 0)), 100_000),
 }
@@ -222,12 +223,7 @@ def test_sparse_step_places_nodes_with_choose_cells():
     for (case, (make, infectious)), beta in itertools.product(_SORTED_GRIDS.items(), [1.0, 0.5, 0.3, 0.0]):
         grid = make()
         assert _sparse_is_cheaper(grid, infectious), case
-        if case == "cell_of":
-            assert grid.bucket_shift == 0
-        elif case == "searched":
-            assert infectious < grid.num_buckets
-        else:
-            assert infectious >= grid.num_buckets, case
+        assert (grid.total_weight <= DIRECT_PER_CLASS * grid.values.size) == (case == "cell_of"), case
         step_rng, direct_rng = substream(6, 1, 2), substream(6, 1, 2)
         got = _class_exposure(grid, infectious, beta, step_rng)
         want = _collapse_by_unique(choose_cells(make(), direct_rng, infectious), grid, beta)
@@ -242,7 +238,7 @@ def _sorted_exposure_by_class_starts(
     starts, the last class closed by |I|, and a fresh 0 .. m - 1 repeated."""
     x = rng.integers(0, grid.total_weight, infectious)
     x.sort()
-    begin = x.searchsorted(grid.weight_start)
+    begin = x.searchsorted(grid.weight_bounds[:-1])
     held = np.empty_like(begin)
     np.subtract(begin[1:], begin[:-1], out=held[:-1])
     held[-1] = infectious - begin[-1]
@@ -444,8 +440,9 @@ def _dense_step_peak(n: int, infectious: int) -> tuple[int, int]:
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 def test_sorted_count_step_memory_per_node(beta):
     # |I| = 1e5 on a 1e8-cell grid sorts: it holds a few numbers a node and
-    # nothing of length K.  engine_version 0.7.0 peaked at 41-43 bytes a node
-    # here, with np.unique's copies and choose_cells' bucket table
+    # nothing of length K.  engine_version 0.7.0, which placed these nodes
+    # with choose_cells and collapsed them with np.unique, peaked at 41-43
+    # bytes a node here
     infectious = 100_000
     peak, grid = _step_peak(10**8, infectious, beta)
     assert _sparse_is_cheaper(grid, infectious)

@@ -371,10 +371,10 @@ _overlays = st.fixed_dictionaries(
         "beta": st.floats(0.0, 1.0),
     },
 ).filter(bool).map(lambda kw: ParamOverlay(**kw))
-# no '#', control characters or line separators, and no edge whitespace
+# no '#', control characters or line separators, no edge whitespace, and not empty
 _out_dirs = st.none() | st.text(
     st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="#")
-).map(str.strip)
+).map(str.strip).filter(bool)
 
 
 @st.composite
@@ -412,7 +412,7 @@ def _configs(draw):
 def test_serialize_parse_round_trip(config):
     assert parse_config(serialize_config(config)) == config
     # an out_dir that the key=value text cannot carry is refused up front
-    for bad in ["runs/#1", "a\nseed=7", "  x  ", "x\r", "a\x0cb", "a\u2028b", "a\0b"]:
+    for bad in ["", "runs/#1", "a\nseed=7", "  x  ", "x\r", "a\x0cb", "a\u2028b", "a\0b"]:
         with pytest.raises(ConfigError, match="out_dir"):
             dataclasses.replace(config, out_dir=bad)
 
