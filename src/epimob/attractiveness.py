@@ -65,14 +65,13 @@ class Field:
     """One row of the parameter schema, read by validation, config text and flags.
 
     type is int, float, bool or str, and only a bool row accepts a bool;
-    default is what a config file falls back to (None: required, or may
-    stay unset); message is the ConfigError text for a value of the wrong
-    type or outside the range that ok accepts; help is the flag's help.
+    message is the ConfigError text for a value of the wrong type or
+    outside the range that ok accepts; help is the flag's help.  A key's
+    default is that of the dataclass field it sets.
     """
 
     name: str
     type: type
-    default: object
     ok: Callable[[Any], bool]
     message: str
     help: str
@@ -101,19 +100,19 @@ class Field:
 
 
 PARAM_FIELDS = (
-    Field("n", int, None, lambda v: 1 <= v < 2**63,
+    Field("n", int, lambda v: 1 <= v < 2**63,
           "n must be a positive integer below 2**63", "population size"),
-    Field("alpha", float, 2.8, lambda v: math.isfinite(v) and v > 2,
+    Field("alpha", float, lambda v: math.isfinite(v) and v > 2,
           "alpha must exceed 2", "attractiveness exponent, strictly greater than 2"),
-    Field("kappa", float, 1.0, lambda v: math.isfinite(v) and v > 0,
+    Field("kappa", float, lambda v: math.isfinite(v) and v > 0,
           "kappa must be positive", "cells per node; the grid has round(kappa * n) cells"),
-    Field("tau", int, 1, lambda v: v >= 1,
+    Field("tau", int, lambda v: v >= 1,
           "tau must be a positive integer", "steps a node stays infected before retiring"),
-    Field("beta", float, 1.0, lambda v: 0.0 <= v <= 1.0,
+    Field("beta", float, lambda v: 0.0 <= v <= 1.0,
           "beta must lie in [0, 1]", "per-exposure infection probability (1 = certain)"),
-    Field("initial_infected", int, 1, lambda v: v >= 1,
+    Field("initial_infected", int, lambda v: v >= 1,
           "initial_infected must be at least 1", "nodes infected at step 0"),
-    Field("max_steps", int, 10_000, lambda v: v >= 1,
+    Field("max_steps", int, lambda v: v >= 1,
           "max_steps must be a positive integer", "hard cap on simulated steps"),
 )
 
@@ -122,17 +121,18 @@ PARAM_FIELDS = (
 class EpidemicParams:
     """Validated parameter set for one simulation run.
 
-    Each field's meaning (help), config default and range is its row of
-    PARAM_FIELDS; __post_init__ adds the checks that span fields.  The grid
-    must fit int64: fewer than 2**63 cells, and K * max_attractiveness, which
-    bounds the total weight W, below 2**63.  num_cells and
-    max_attractiveness are computed once, by that validation.
+    Each field's meaning (help) and range is its row of PARAM_FIELDS;
+    __post_init__ adds the checks that span fields.  The grid must fit
+    int64: fewer than 2**63 cells, and K * max_attractiveness, which bounds
+    the total weight W, below 2**63.  kappa * n is a float product, as in
+    config text, whatever kappa's type.  num_cells and max_attractiveness
+    are computed once, by that validation.
     """
 
     n: int
-    alpha: float
-    kappa: float
-    tau: int
+    alpha: float = 2.8
+    kappa: float = 1.0
+    tau: int = 1
     beta: float = 1.0
     initial_infected: int = 1
     max_steps: int = 10_000
@@ -144,7 +144,7 @@ class EpidemicParams:
             raise ConfigError("initial_infected must not exceed n")
         # checked before the cutoff, whose one-step walk to the edge never
         # ends once m outgrows float precision
-        kn = self.kappa * self.n
+        kn = float(self.kappa) * self.n
         if not (math.isfinite(kn) and round(kn) < 2**63):
             raise ConfigError("grid too large: kappa * n must round to fewer than 2**63 cells")
         if self.num_cells < 1:
@@ -162,7 +162,7 @@ class EpidemicParams:
 
     @cached_property
     def num_cells(self) -> int:
-        return int(round(self.kappa * self.n))
+        return int(round(float(self.kappa) * self.n))
 
     @cached_property
     def max_attractiveness(self) -> int:

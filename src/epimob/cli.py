@@ -9,7 +9,6 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -20,12 +19,13 @@ from .oracle import exact_meeting_probability, expected_new_infections_bound
 from .rng import ReplicateStreams
 from .scenario import (
     FIELDS,
-    InterventionSchedule,
     ScenarioConfig,
+    build_config,
     parse_config,
     parse_trigger,
     preset_emerging,
     preset_industrialized,
+    read_config_keys,
     serialize_config,
 )
 
@@ -93,40 +93,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> ScenarioConfig:
-    """Parse the config file at path; a file that is not UTF-8 is a ConfigError."""
+def _read_text(path: str) -> str:
+    """The config file at path; a file that is not UTF-8 is a ConfigError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        # utf-8-sig: a leading byte order mark is not part of the first key
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse_config(text)
 
 
 def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
-    """Config from file and/or flags; flags override file keys one for one."""
+    """One config built from the file's keys with the flags laid over them;
+    EPIMOB_OUT_DIR stands in for an unset --out-dir, and --trigger flags
+    replace the file's triggers."""
+    values, triggers = {}, []
     if args.config is not None:
-        cfg = _read_config(args.config)
-    elif args.n is not None:
-        cfg = parse_config(f"n={args.n}\n")
-    else:
+        values, triggers = read_config_keys(_read_text(args.config))
+    elif args.n is None:
         raise ConfigError("n is required (give --config or --n)")
-
-    flags = {
-        f.name: getattr(args, f.name)
-        for f in FIELDS.values()
-        if getattr(args, f.name, None) is not None
-    }
+    values.update({k: v for k, v in vars(args).items() if k in FIELDS and v is not None})
     # only run has --out-dir; an empty variable counts as unset
     if hasattr(args, "out_dir") and args.out_dir is None and os.environ.get(OUT_DIR_ENV):
-        flags["out_dir"] = os.environ[OUT_DIR_ENV]
-    params = dataclasses.replace(
-        cfg.params, **{f.name: flags.pop(f.name) for f in PARAM_FIELDS if f.name in flags}
-    )
-    triggers = getattr(args, "trigger", None)
-    if triggers:
-        flags["schedule"] = InterventionSchedule(tuple(parse_trigger(t) for t in triggers))
-    return dataclasses.replace(cfg, params=params, **flags)
+        values["out_dir"] = os.environ[OUT_DIR_ENV]
+    if getattr(args, "trigger", None):
+        triggers = [parse_trigger(t) for t in args.trigger]
+    return build_config(values, triggers)
 
 
 def _fmt(stat) -> str:
@@ -189,7 +181,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _read_config(args.config)
+    parse_config(_read_text(args.config))
     print("ok")
     return 0
 

@@ -6,7 +6,7 @@ fresh grid drawn under the new attractiveness law.  Node statuses and
 infection timestamps carry over untouched; only the world changes.
 
 Config files are line-oriented ``key=value`` text with ``#`` comments.
-See parse_config for the accepted keys and the trigger grammar.
+See read_config_keys for the accepted keys and the trigger grammar.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .errors import ConfigError
 
 
 # the argument of a time:STEP or prevalence:FRACTION trigger condition
-STEP_FIELD = Field("trigger step", int, None, lambda v: v >= 1,
+STEP_FIELD = Field("trigger step", int, lambda v: v >= 1,
                    "trigger step must be a positive integer", "steps before a time trigger fires")
-FRACTION_FIELD = Field("trigger fraction", float, None, lambda v: 0.0 < v <= 1.0,
+FRACTION_FIELD = Field("trigger fraction", float, lambda v: 0.0 < v <= 1.0,
                        "trigger prevalence fraction must be a number in (0, 1]", "infected share")
 
 
@@ -58,23 +58,20 @@ class PrevalenceReached:
 
 TriggerCondition = Union[TimeReached, PrevalenceReached]
 
-# overlay keys allowed on the right-hand side of a trigger
-_OVERLAY_KEYS = ("alpha", "kappa", "tau", "beta")
 
-
-# serialize_config writes out_dir=<path> on one line, which parse_config cuts
+# serialize_config writes out_dir=<path> on one line, which read_config_keys cuts
 # at '#' and strips, so only such paths survive the round trip; no OS path
 # holds a NUL, and none is empty
 RUN_FIELDS = (
-    Field("seed", int, 0, lambda v: 0 <= v < 2**64,
+    Field("seed", int, lambda v: 0 <= v < 2**64,
           "seed must lie in [0, 2**64)", "master seed (64-bit)"),
-    Field("replications", int, 1, lambda v: 1 <= v < 2**63,
+    Field("replications", int, lambda v: 1 <= v < 2**63,
           "replications must be a positive integer below 2**63", "independent replicates"),
-    Field("log_cells", bool, False, lambda v: True,
+    Field("log_cells", bool, lambda v: True,
           "log_cells must be a bool",
           "run the per-node engine; its per-step cell logs stay in RunResult.traces, "
           "and the CLI writes no cell log"),
-    Field("out_dir", str, None,
+    Field("out_dir", str,
           lambda v: "#" not in v and "\0" not in v and v == v.strip()
           and v.splitlines() == [v],
           "out_dir must be a non-empty string without '#', NUL, line breaks, or edge whitespace",
@@ -111,6 +108,10 @@ class ParamOverlay:
     def merge(self, params: EpidemicParams) -> EpidemicParams:
         """New params with the overlay applied; revalidates every invariant."""
         return dataclasses.replace(params, **self._changes())
+
+
+# overlay keys allowed on the right-hand side of a trigger
+_OVERLAY_KEYS = tuple(f.name for f in dataclasses.fields(ParamOverlay))
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,11 @@ class InterventionSchedule:
 class ScenarioConfig:
     """Everything one invocation needs: params, schedule, seeding, outputs.
 
-    Each field but params and schedule must pass its RUN_FIELDS row.  Every
-    parameter set the schedule can reach from params, in any firing order,
-    is built and so checked here, and kept as param_sets and the moves between
-    them (InterventionSchedule.reachable), which a run only looks up;
+    Each field but params and schedule must pass its RUN_FIELDS row, unless
+    it is None and so is its default (out_dir).  Every parameter set the
+    schedule can reach from params, in any firing order, is built and so
+    checked here, and kept as param_sets and the moves between them
+    (InterventionSchedule.reachable), which a run only looks up;
     band_width, the highest band any of their grids can hold, is the number
     of band columns of every trace of the run.
     """
@@ -221,7 +223,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in RUN_FIELDS:
             value = getattr(self, f.name)
-            if value is not None or f.default is not None:
+            # the class attribute of a dataclass field is its default
+            if value is not None or getattr(ScenarioConfig, f.name) is not None:
                 f.check(value)
         param_sets, moves = self.schedule.reachable(self.params)
         object.__setattr__(self, "param_sets", param_sets)
@@ -333,15 +336,14 @@ def parse_trigger(text: str) -> Trigger:
     return Trigger(condition=condition, overlay=ParamOverlay(**fields))
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse line-oriented key=value config text into a validated config.
+def read_config_keys(text: str) -> tuple[dict, list]:
+    """The (values, triggers) of line-oriented key=value config text, unbuilt.
 
-    Accepted keys are the rows of FIELDS (n is required; the others fall
-    back to their row's default) plus repeatable trigger lines
-    `trigger=<time:STEP|prevalence:FRACTION>-><key=value,...>` whose override
-    keys are alpha, kappa, tau, beta.  `#` starts a comment; blank lines are
-    ignored; a scalar key given twice keeps the last value.  Malformed input
-    raises ConfigError naming the offending line and key.
+    Accepted keys are the rows of FIELDS, each value checked by its row,
+    plus repeatable lines `trigger=<time:STEP|prevalence:FRACTION>->...`
+    whose override keys are alpha, kappa, tau, beta (see parse_trigger).
+    `#` starts a comment; blank lines are ignored; a scalar key given twice
+    keeps the last value.  A malformed line raises ConfigError naming it.
     """
     values: dict[str, object] = {}
     triggers: list[Trigger] = []
@@ -363,18 +365,22 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
+    return values, triggers
 
+
+def build_config(values: dict, triggers: list) -> ScenarioConfig:
+    """The validated config of FIELDS keys and triggers; n is required, and
+    a key left out takes its dataclass field's default."""
     if "n" not in values:
         raise ConfigError("n is required")
+    run = dict(values)
+    params = EpidemicParams(**{f.name: run.pop(f.name) for f in PARAM_FIELDS if f.name in run})
+    return ScenarioConfig(params, InterventionSchedule(tuple(triggers)), **run)
 
-    def pick(fields) -> dict:
-        return {f.name: values.get(f.name, f.default) for f in fields}
 
-    return ScenarioConfig(
-        params=EpidemicParams(**pick(PARAM_FIELDS)),
-        schedule=InterventionSchedule(tuple(triggers)),
-        **pick(RUN_FIELDS),
-    )
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse config text into a validated config; see read_config_keys for the format."""
+    return build_config(*read_config_keys(text))
 
 
 def serialize_config(config: ScenarioConfig) -> str:

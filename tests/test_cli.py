@@ -146,6 +146,39 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert "seed=4" in manifest["config_text"].splitlines()  # untouched file key
 
 
+@pytest.mark.parametrize(
+    "text, flags, merged",
+    [
+        # no n in the file
+        ("seed=3\n", ["--n", "1000"], "n=1000\nseed=3\n"),
+        # at the file's n the attractiveness support is empty
+        ("n=50\nalpha=6\n", ["--n", "1000"], "n=1000\nalpha=6\n"),
+        # the file's trigger, which --trigger replaces, reaches a grid of no cells
+        ("n=300\ntrigger=time:1->kappa=0.0001\n", ["--trigger", "time:1->tau=2"],
+         "n=300\ntrigger=time:1->tau=2\n"),
+    ],
+)
+def test_flags_mend_a_config_file_invalid_on_its_own(tmp_path, capsys, text, flags, merged):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    assert cli_main(["validate", str(cfg)]) == 2  # validate checks the file alone
+    capsys.readouterr()
+    dest = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), *flags, "--replications", "2", "--out-dir", str(dest)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((dest / "manifest.json").read_text())
+    expected = dataclasses.replace(parse_config(merged), replications=2, out_dir=str(dest))
+    assert manifest["config_text"] == serialize_config(expected)
+
+
+def test_a_file_value_that_fails_its_row_fails_at_its_line_under_any_flag(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("n=300\nreplications=0\n")
+    assert cli_main(["run", "--config", str(cfg), "--replications", "2"]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 2: replications must be")
+
+
 def test_cli_triggers_replace_file_triggers(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("n=300\ntau=2\ntrigger=time:5->tau=1\n")
@@ -356,6 +389,27 @@ def test_config_files_that_are_not_utf8_are_config_errors(tmp_path, capsys):
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg} is not UTF-8 text")
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_key(tmp_path, capsys):
+    text = "n=300\ntau=2\nseed=5\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert cli_main(["validate", str(bom)]) == 0
+    texts = []
+    for cfg in (plain, bom):
+        dest = tmp_path / f"out-{cfg.stem}"
+        assert cli_main(["run", "--config", str(cfg), "--out-dir", str(dest)]) == 0
+        texts.append(json.loads((dest / "manifest.json").read_text())["config_text"])
+    assert texts[0] == texts[1].replace(str(tmp_path / "out-bom"), str(tmp_path / "out-plain"))
+    capsys.readouterr()
+    # after the mark the file must still be UTF-8
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xef\xbb\xbfn=300\n# caf\xe9\n")
+    assert cli_main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {bad} is not UTF-8 text")
 
 
 def test_validate_rejects_replications_beyond_63_bits(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from epimob import (
     serialize_config,
 )
 from epimob.rng import substream
+from epimob.scenario import FIELDS
 
 
 def test_preset_emerging_scaling_rules():
@@ -311,6 +313,51 @@ def test_parse_config_defaults():
     assert config.out_dir is None
     assert config.log_cells is False
     assert len(config.schedule) == 0
+
+
+def _dataclass_defaults() -> dict:
+    """Each config key's default, read off the dataclass field it sets."""
+    return {f.name: f.default for cls in (EpidemicParams, ScenarioConfig)
+            for f in dataclasses.fields(cls) if f.name in FIELDS}
+
+
+def test_each_default_lives_in_its_dataclass_field():
+    assert not hasattr(FIELDS["alpha"], "default")
+    assert EpidemicParams(n=1000) == parse_config("n=1000\n").params
+    assert ScenarioConfig(params=EpidemicParams(n=1000)) == parse_config("n=1000\n")
+    defaults = _dataclass_defaults()
+    assert set(defaults) == set(FIELDS)
+    assert defaults["n"] is dataclasses.MISSING and defaults["out_dir"] is None
+
+
+def test_readme_config_block_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config(block)
+    lines = [line.split("=", 1) for line in block.splitlines()]
+    keys = [key for key, _ in lines if key != "trigger"]
+    assert sorted(keys) == sorted(FIELDS)  # every key exactly once
+    defaults = _dataclass_defaults()
+    for key, rest in lines:
+        if key == "trigger":
+            continue
+        words = rest.split("#", 1)[1].split()
+        default = defaults[key]
+        if default is dataclasses.MISSING:
+            assert words == ["required"], key
+        else:
+            shown = "unset" if default is None else FIELDS[key].format(default)
+            assert words[:2] == ["default", shown], key
+
+
+def test_an_integer_kappa_builds_the_grid_its_config_text_does():
+    # kappa * n taken exactly would give 2**53 + 1 cells, and the text kappa=1.0 gives 2**53
+    params = EpidemicParams(n=2**53 + 1, alpha=6.0, kappa=1, tau=1)
+    config = ScenarioConfig(params=params)
+    rebuilt = parse_config(serialize_config(config))
+    assert rebuilt == config
+    assert params.num_cells == rebuilt.params.num_cells == 2**53
+    assert params.max_attractiveness == rebuilt.params.max_attractiveness
 
 
 def test_parse_config_comments_blanks_and_last_wins():
