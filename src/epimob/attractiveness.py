@@ -77,9 +77,17 @@ class Field:
     help: str
 
     def check(self, value) -> None:
-        """Raise ConfigError with this row's message unless value fits the row."""
+        """Raise ConfigError with this row's message unless value fits the row.
+
+        A range test that cannot convert the value, such as math.isfinite on
+        an int too large for a float, counts as a value outside the range.
+        """
         typed = isinstance(value, _TYPES[self.type])
-        if not (typed and (self.type is bool) == isinstance(value, bool) and self.ok(value)):
+        try:
+            fits = typed and (self.type is bool) == isinstance(value, bool) and self.ok(value)
+        except OverflowError:
+            fits = False
+        if not fits:
             raise ConfigError(self.message)
 
     def parse(self, text: str):
@@ -225,6 +233,19 @@ class Pieces(NamedTuple):
     block_first: np.ndarray
 
 
+def running_totals(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Running totals of cells (row 0) and of weight (row 1) over classes, each led by a 0.
+
+    A class starts where the totals before it end.  The sums are int64, so
+    the caller rules out or detects totals past 2**63, which wrap.
+    """
+    table = np.zeros((2, values.size + 1), dtype=np.int64)
+    table[0, 1:] = sizes
+    np.multiply(values, sizes, table[1, 1:])
+    np.add.accumulate(table, 1, None, table)
+    return table
+
+
 # 2**0 .. 2**62: one less than how many of them are at most v is
 # floor(log2(v)), exact for every positive int64 v
 _POWERS_OF_TWO = np.left_shift(1, np.arange(63))
@@ -276,12 +297,7 @@ class CellGrid:
         sizes = self.sizes = np.asarray(self.sizes, dtype=np.int64)
         if values.ndim != 1 or values.size == 0 or sizes.shape != values.shape:
             raise ValueError("values and sizes must be non-empty 1-d arrays of one length")
-        # running totals of cells (row 0) and of weight (row 1), each led by
-        # a 0: a class starts where the totals before it end
-        table = np.zeros((2, values.size + 1), dtype=np.int64)
-        table[0, 1:] = sizes
-        np.multiply(values, sizes, table[1, 1:])
-        np.add.accumulate(table, 1, None, table)
+        table = running_totals(values, sizes)
         cells = table[0]
         if values[0] < 2 or np.count_nonzero(values[1:] <= values[:-1]):
             raise ValueError("values must increase from at least 2")

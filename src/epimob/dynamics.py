@@ -45,6 +45,11 @@ block-sized buffer; below, they are counted per block.  It costs
 O(|I| + K) time but holds at most BLOCK_CELLS marks or counts,
 CHUNK_PLACEMENTS placements and a few numbers per piece.
 
+count_steps() advances several count states at once, each on its own grid
+and with its own streams: each makes the draws it makes alone, and the
+sorting, searching and summing between the draws is done once for all of
+them, over their class tables laid end to end (ClassTables).
+
 Both engines take one CellGrid; only step() makes it build its per-cell views.
 """
 
@@ -294,7 +299,7 @@ def _class_exposure(
     Both are the per-node law.
     """
     if _sparse_is_cheaper(grid, infectious):
-        return _sorted_exposure(grid, infectious, beta, rng)
+        return _sorted_exposure(ClassTables([grid]), [rng.integers(0, grid.total_weight, infectious)], beta)
     pieces = grid.pieces
     counts = rng.multinomial(infectious, pieces.pick)
     return np.add.reduceat(_piece_exposure(pieces, counts, beta, rng), pieces.class_first)
@@ -317,52 +322,106 @@ def _sparse_is_cheaper(grid: CellGrid, infectious: int) -> bool:
     return infectious < SORT_NODES + grid.num_cells // SORT_CELLS_PER_NODE
 
 
-@lru_cache(maxsize=64)
-def _class_index(classes: int) -> np.ndarray:
-    """0, 1, ..., classes - 1, read-only as it is shared."""
-    index = np.arange(classes)
-    index.flags.writeable = False
-    return index
+class ClassTables:
+    """The class tables of several grids laid end to end, so that one sorted step places all their nodes.
+
+    Slot s holds grids[s], and its classes follow slot s - 1's.  The running
+    totals over all classes give each a start, weight bound and base as in
+    one grid, so the cells of slot s are numbered after those of the slots
+    before it, and its integers of [0, W_s) are shifted by weight_offset[s].
+    So attractiveness.place finds the cell of a shifted integer, no two
+    slots share a cell, and one sort keeps each slot's nodes together.
+    band[c] is shifted past the bands of earlier slots, so one bincount of
+    num_bands entries holds slot s's band sums at bands[s]; total_weight[c]
+    is the W of class c's slot, and classes[s] the number of classes of
+    slot s.  The caller keeps the cells of all slots times their largest
+    weight below 2**63, so that nothing wraps.  One grid is its own table.
+    """
+
+    def __init__(self, grids: list) -> None:
+        self.grids = grids
+        if len(grids) == 1:
+            (grid,) = grids
+            self.values, self.base, self.band = grid.values, grid.base, grid.band
+            self.weight_bounds, self.total_weight = grid.weight_bounds, grid.total_weight
+            self.num_bands, self.classes = grid.num_bands, [grid.values.size]
+            self.weight_offset, self.bands = [0], [slice(None)]
+            self.index = np.arange(grid.values.size)
+            return
+        # per slot: its classes, first integer, bands, first band and W, and
+        # its class tables to lay end to end
+        self.classes, self.weight_offset, self.bands, first_band, weights = [], [], [], [], []
+        values, sizes, band = [], [], []
+        shift = bands = 0
+        for g in grids:
+            self.classes.append(g.values.size)
+            self.weight_offset.append(shift)
+            self.bands.append(slice(bands, bands + g.num_bands))
+            first_band.append(bands)
+            weights.append(g.total_weight)
+            values.append(g.values)
+            sizes.append(g.sizes)
+            band.append(g.band)
+            shift += g.total_weight
+            bands += g.num_bands
+        self.num_bands = bands
+        values = self.values = np.concatenate(values)
+        cells, self.weight_bounds = attractiveness.running_totals(values, np.concatenate(sizes))
+        self.base = cells[:-1] * values - self.weight_bounds[:-1]
+        self.band = np.concatenate(band) + np.array(first_band).repeat(self.classes)
+        self.total_weight = np.array(weights).repeat(self.classes)
+        self.index = np.arange(values.size)
 
 
-def _sorted_exposure(
-    grid: CellGrid, infectious: int, beta: float, rng: np.random.Generator
-) -> np.ndarray:
+def _sorted_exposure(tables: ClassTables, draws: list, beta) -> np.ndarray:
     """Per class, the sum over its cells v of 1 - (1 - beta) ** m_v, for nodes placed by sorting.
 
-    It draws what choose_cells draws, one integer x uniform on [0, W) a
-    node, and sorts x.  A class's integers come before the next class's
-    and each of its cells owns a run of them, so one search of sorted x
-    for the class bounds gives every node's class, and the cells
-    (attractiveness.place) come out sorted too.  A cell is new where it
-    differs from the one before; at beta = 1 a class's sum is its number
-    of new cells, and below, m_v is the gap from one new cell to the next.
-    Each class adds its cells in increasing order, whatever order x was
-    drawn in, so its float sum depends only on the cells.
-    O(|I| log |I| + m) time, a few numbers a node, nothing of length K.
+    draws holds, per slot of tables, what choose_cells draws: one integer x
+    uniform on [0, W) a node, shifted by the slot's weight offset.  It is
+    emptied, so that x is freed once used.  beta is one number, or one a
+    class.  It sorts x.  A class's integers
+    come before the next class's and each of its cells owns a run of them,
+    so one search of sorted x for the class bounds gives every node's class,
+    and the cells (attractiveness.place) come out sorted too.  A cell is new
+    where it differs from the one before; at beta = 1 a class's sum is its
+    number of new cells, and below, m_v is the gap from one new cell to the
+    next.  Each class adds its cells in increasing order, whatever order x
+    was drawn in and whatever other slots were placed with it, so its float
+    sum depends only on its cells.  O(|I| log |I| + m) time, a few numbers a
+    node, nothing of length K.
     """
-    x = rng.integers(0, grid.total_weight, infectious)
+    x = draws.pop() if len(draws) == 1 else np.concatenate(draws)
+    draws.clear()
     x.sort()
-    # class c's nodes are bounds[c] up to bounds[c + 1]; every x is below W,
-    # so the last bound is |I|
-    bounds = x.searchsorted(grid.weight_bounds)
+    # class c's nodes are bounds[c] up to bounds[c + 1]; every x is below the
+    # last bound, so that bound is |I|
+    bounds = x.searchsorted(tables.weight_bounds)
     held = bounds[1:] - bounds[:-1]
-    cls = _class_index(held.size).repeat(held)
-    attractiveness.place(grid, x, cls)
+    cls = tables.index.repeat(held)
+    attractiveness.place(tables, x, cls)
     # new[i]: node i is the first on its cell; new[|I|] closes the last run
-    new = np.empty(infectious + 1, dtype=bool)
+    new = np.empty(x.size + 1, dtype=bool)
     new[0] = new[-1] = True
     np.not_equal(x[1:], x[:-1], out=new[1:-1])
     # each array is freed once used, so a step holds at most four a node
     del x
-    if beta >= 1.0:
+    if not isinstance(beta, np.ndarray) and beta >= 1.0:
         return np.bincount(cls[new[:-1]], minlength=held.size)
     first = new.nonzero()[0]
     del new
     hits = first[1:] - first[:-1]
     cls = cls[first[:-1]]
     del first
-    return np.bincount(cls, weights=_infection_probability(hits, beta), minlength=held.size)
+    if isinstance(beta, np.ndarray):
+        # each cell's probability comes from its own slot's beta table
+        cell_beta = beta[cls]
+        probs = np.empty(hits.size)
+        for b in np.unique(beta).tolist():
+            at = cell_beta == b
+            probs[at] = _infection_probability(hits[at], b)
+    else:
+        probs = _infection_probability(hits, beta)
+    return np.bincount(cls, weights=probs, minlength=held.size)
 
 
 def _piece_exposure(
@@ -440,46 +499,95 @@ def _lanes(rng: np.random.Generator, count: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u2")[:count]
 
 
+def count_steps(tables: ClassTables, runs: list) -> list:
+    """Advance each run's CountState by one step and report what happened.
+
+    A run has .state (a CountState), .params, .slot (its grid is
+    tables.grids[slot]) and .streams of its own, a Generator or a bundle
+    exposing .movement (placing the infectious nodes) and .transmission
+    (the binomial and the band split).  Only class tables are read, and
+    transmission and retirement follow step() exactly, including the <=
+    retire rule.  Each run makes the draws that stepping it alone makes and
+    gets the same float sums, so its report does not depend on the others.
+    Their sorted steps are placed by one _sorted_exposure and their bands
+    summed by one bincount; a dense step is placed alone.  A beta = 1 step
+    sorted with one below 1 sums its new cells as floats: exact counts,
+    weighted by values below 2**53, so each band weight rounds the same
+    exact product.
+    """
+    bands, transmit_rngs, draws, placed = [], [], [], []
+    betas = set()
+    for run in runs:
+        state = run.state
+        if state.step >= run.params.max_steps:
+            raise ValueError("run already reached max_steps")
+        state.step += 1
+        move_rng, transmit_rng = _role_streams(run.streams)
+        transmit_rngs.append(transmit_rng)
+        infectious = sum(state.cohorts.values())
+        band_sums = None
+        if infectious and state.uninfected:
+            grid = tables.grids[run.slot]
+            if _sparse_is_cheaper(grid, infectious):
+                shift = tables.weight_offset[run.slot]
+                draws.append(move_rng.integers(shift, shift + grid.total_weight, infectious))
+                placed.append(len(bands))
+                betas.add(run.params.beta)
+            else:
+                exposure = _class_exposure(grid, infectious, run.params.beta, move_rng)
+                # class c's share of Q is (v_c / W) * exposure_c
+                band_sums = np.bincount(
+                    grid.band, weights=grid.values * exposure / grid.total_weight, minlength=grid.num_bands
+                )
+        bands.append(band_sums)
+    if placed:
+        beta = betas.pop()
+        if betas:
+            slot_beta = np.ones(len(tables.grids))
+            for k in placed:
+                slot_beta[runs[k].slot] = runs[k].params.beta
+            beta = slot_beta.repeat(tables.classes)
+        exposure = _sorted_exposure(tables, draws, beta)
+        sums = np.bincount(
+            tables.band, weights=tables.values * exposure / tables.total_weight, minlength=tables.num_bands
+        )
+        for k in placed:
+            bands[k] = sums[tables.bands[runs[k].slot]]
+    reports = []
+    for run, band_sums, transmit_rng in zip(runs, bands, transmit_rngs):
+        state = run.state
+        new = 0
+        if band_sums is not None:
+            # a run's own sum: numpy's pairwise sum groups by length, so
+            # summing a padded row could change q's bits
+            q = np.add.reduce(band_sums)
+            new = int(transmit_rng.binomial(state.uninfected, min(q, 1.0)))
+            if new:
+                by_group = transmit_rng.multinomial(new, band_sums / q)
+                state.cohorts[state.step] = new
+                state.uninfected -= new
+        if not new:
+            by_group = np.zeros(tables.grids[run.slot].num_bands, dtype=np.int64)
+        retired = 0
+        for t in [t for t in state.cohorts if t <= state.step - run.params.tau]:
+            retired += state.cohorts.pop(t)
+        state.recovered += retired
+        reports.append(StepReport(state.step, new, by_group, retired))
+    return reports
+
+
+class _Run(NamedTuple):
+    state: CountState
+    params: EpidemicParams
+    slot: int
+    streams: object
+
+
 def count_step(
     state: CountState,
     grid: CellGrid,
     params: EpidemicParams,
     rng,
 ) -> StepReport:
-    """Advance a CountState by one step and report what happened.
-
-    Only grid's class tables are read.  `rng` is a Generator or a bundle exposing
-    .movement (placing the infectious nodes) and .transmission (the
-    binomial and the band split).  Transmission and retirement follow
-    step() exactly, including the <= retire rule.
-    """
-    if state.step >= params.max_steps:
-        raise ValueError("run already reached max_steps")
-    state.step += 1
-    move_rng, transmit_rng = _role_streams(rng)
-    new = 0
-    infectious = sum(state.cohorts.values())
-    if infectious and state.uninfected:
-        exposure = _class_exposure(grid, infectious, params.beta, move_rng)
-        # class c's share of Q is (v_c / W) * exposure_c
-        bands = np.bincount(
-            grid.band, weights=grid.values * exposure / grid.total_weight, minlength=grid.num_bands
-        )
-        q = np.add.reduce(bands)
-        new = int(transmit_rng.binomial(state.uninfected, min(q, 1.0)))
-        if new:
-            by_group = transmit_rng.multinomial(new, bands / q)
-            state.cohorts[state.step] = new
-            state.uninfected -= new
-    if not new:
-        by_group = np.zeros(grid.num_bands, dtype=np.int64)
-    retired = 0
-    for t in [t for t in state.cohorts if t <= state.step - params.tau]:
-        retired += state.cohorts.pop(t)
-    state.recovered += retired
-    return StepReport(
-        step=state.step,
-        new_infections_total=new,
-        new_infections_by_group=by_group,
-        newly_recovered=retired,
-    )
+    """Advance one CountState by one step: count_steps of one run."""
+    return count_steps(ClassTables([grid]), [_Run(state, params, 0, rng)])[0]

@@ -21,7 +21,7 @@ from epimob import (
 from epimob import harness
 from epimob.attractiveness import DIRECT_PER_CLASS
 from epimob.rng import substream
-from epimob.scenario import preset_emerging, preset_industrialized
+from epimob.scenario import ParamOverlay, preset_emerging, preset_industrialized
 
 
 def test_pmf_single_point_support():
@@ -100,6 +100,22 @@ def test_params_validation():
     with pytest.raises(ConfigError, match="n must be"):
         EpidemicParams(**{**good, "n": True})
     assert EpidemicParams(**{**good, "n": np.int64(10_000)}).num_cells == 10_000
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: EpidemicParams(n=100, kappa=10**400), "kappa must be positive"),
+        (lambda: EpidemicParams(n=100, alpha=10**400), "alpha must exceed 2"),
+        (lambda: ParamOverlay(kappa=10**400), "kappa must be positive"),
+        (lambda: ParamOverlay(alpha=-(10**400)), "alpha must exceed 2"),
+    ],
+    ids=["params_kappa", "params_alpha", "overlay_kappa", "overlay_alpha"],
+)
+def test_an_int_too_large_for_a_float_fails_its_row(make, message):
+    # math.isfinite raised OverflowError on these instead of the row's ConfigError
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make()
 
 
 @pytest.mark.parametrize(

@@ -95,7 +95,7 @@ def test_empty_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert cli_main(["validate", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error: line 2: out_dir must be a non-empty string")
     calls = []
-    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "run_share", lambda *args: calls.append(args))
     assert cli_main(["run", "--n", "300", "--out-dir", ""]) == 2
     assert capsys.readouterr().err.startswith("config error: out_dir must be a non-empty string")
     assert calls == []
@@ -104,7 +104,7 @@ def test_empty_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
 def test_unusable_out_dir_fails_before_any_replicate(tmp_path, capsys, monkeypatch):
     (tmp_path / "afile").write_text("")
     calls = []
-    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "run_share", lambda *args: calls.append(args))
     code = cli_main(["run", "--n", "300", "--out-dir", str(tmp_path / "afile" / "sub")])
     assert code == 3
     assert "io error:" in capsys.readouterr().err
@@ -114,7 +114,7 @@ def test_unusable_out_dir_fails_before_any_replicate(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_nonpositive_workers_fail_before_any_replicate(capsys, monkeypatch, workers):
     calls = []
-    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "run_share", lambda *args: calls.append(args))
     assert cli_main(["run", "--n", "1000", "--workers", workers]) == 2
     assert "workers must be a positive integer" in capsys.readouterr().err
     assert calls == []
@@ -123,7 +123,7 @@ def test_nonpositive_workers_fail_before_any_replicate(capsys, monkeypatch, work
 @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
 def test_workers_not_a_positive_int_fail_before_any_replicate(tmp_path, monkeypatch, workers):
     calls = []
-    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "run_share", lambda *args: calls.append(args))
     out_dir = tmp_path / "out"
     config = dataclasses.replace(preset_emerging(1000), out_dir=str(out_dir))
     with pytest.raises(ConfigError, match="^workers must be a positive integer$"):
@@ -375,7 +375,7 @@ def test_a_grid_only_another_firing_order_reaches_is_a_config_error(tmp_path, ca
     assert err.startswith("config error: attractiveness support is empty")
     assert err.rstrip().endswith("(reached once time:1->alpha=10.0 fired)")
     calls = []
-    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "run_share", lambda *args: calls.append(args))
     dest = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(dest)]) == 2
     assert "attractiveness support is empty" in capsys.readouterr().err
@@ -422,7 +422,7 @@ def test_validate_rejects_replications_beyond_63_bits(tmp_path, capsys):
 
 def test_run_rejects_replications_beyond_63_bits(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(harness, "run_replicate", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "run_share", lambda *args: calls.append(args))
     assert cli_main(["run", "--n", "300", "--replications", "100000000000000000000"]) == 2
     err = capsys.readouterr().err
     assert "replications must be a positive integer below 2**63" in err and "Traceback" not in err

@@ -32,7 +32,13 @@ from epimob import (
 )
 from epimob import attractiveness, dynamics, harness
 from epimob.attractiveness import DIRECT_PER_CLASS
-from epimob.dynamics import _class_exposure, _infection_probability, _sorted_exposure, _sparse_is_cheaper
+from epimob.dynamics import (
+    ClassTables,
+    _class_exposure,
+    _infection_probability,
+    _sorted_exposure,
+    _sparse_is_cheaper,
+)
 from epimob.rng import substream
 from epimob.scenario import preset_emerging, preset_industrialized
 
@@ -276,7 +282,7 @@ def test_sorted_step_matches_the_class_start_search_bit_for_bit(make, beta):
     sizes = sorted({*range(1, 40), *np.geomspace(40, switch - 1, 12).astype(int).tolist(), switch - 1})
     rng, oracle_rng = substream(8, 1, 1), substream(8, 1, 1)
     for infectious in sizes:
-        got = _sorted_exposure(grid, infectious, beta, rng)
+        got = _sorted_exposure(ClassTables([grid]), [rng.integers(0, grid.total_weight, infectious)], beta)
         want = _sorted_exposure_by_class_starts(grid, infectious, beta, oracle_rng)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), infectious
     assert rng.random() == oracle_rng.random()
@@ -494,17 +500,6 @@ class _Recorder:
         return self.words[-1]
 
 
-class _Integers:
-    """A Generator stand-in whose integers() returns given draws."""
-
-    def __init__(self, x: np.ndarray) -> None:
-        self.x = x
-
-    def integers(self, low, high, size):
-        assert (low, size) == (0, self.x.size) and np.all(self.x < high)
-        return self.x.copy()
-
-
 @given(
     data=st.data(),
     beta=st.sampled_from([1.0, 0.5, 0.0]),
@@ -529,7 +524,7 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
     x = np.array(
         data.draw(st.lists(st.integers(0, grid.total_weight - 1), min_size=1, max_size=60)), dtype=np.int64
     )
-    exposure = _sorted_exposure(grid, x.size, beta, _Integers(x))
+    exposure = _sorted_exposure(ClassTables([grid]), [x.copy()], beta)
     np.testing.assert_allclose(exposure, direct(grid.cell_of[x]), rtol=1e-12, atol=1e-12)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -564,6 +559,44 @@ def test_exposure_sums_match_a_direct_count(data, beta, block, chunk):
     placed = np.concatenate(placed)
     assert placed.size == x.size
     np.testing.assert_allclose(exposure, direct(placed), rtol=1e-12, atol=1e-12)
+
+
+def _slots_exposure_matches_each_alone(grids: list, draws: list, betas: list) -> None:
+    """Each slot's classes get, bit for bit, the sums its own draws give on its grid alone."""
+    tables = ClassTables(grids)
+    shifted = [x + shift for x, shift in zip(draws, tables.weight_offset)]
+    beta = betas[0] if len(set(betas)) == 1 else np.repeat(betas, tables.classes)
+    together = _sorted_exposure(tables, shifted, beta)
+    alone = [_sorted_exposure(ClassTables([g]), [x.copy()], b) for g, x, b in zip(grids, draws, betas)]
+    if all(b >= 1.0 for b in betas):
+        assert together.dtype == alone[0].dtype
+    np.testing.assert_array_equal(together, np.concatenate(alone).astype(together.dtype))
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_slots_laid_end_to_end_never_share_a_cell(beta):
+    # slot 0's last occupied cell and slot 1's first carry the same number
+    # on their own grids, 1; numbered per slot, their runs would merge into
+    # one cell hit twice, and slot 1 would lose its exposure
+    grid = CellGrid.from_weights([2, 2, 3])
+    _slots_exposure_matches_each_alone(
+        [grid, grid], [np.array([0, 2, 3]), np.array([2, 3, 5])], [beta, beta]
+    )
+
+
+@given(data=st.data(), slots=st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_slots_laid_end_to_end_sum_as_each_alone(data, slots):
+    # up to four small grids with up to 30 nodes each, beta 1, 0.5 or 0 per
+    # slot: a slot's sums do not depend on the slots it is placed with
+    grids, draws, betas = [], [], []
+    for _ in range(slots):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        grids.append(CellGrid(np.arange(2, 2 + len(sizes)), sizes))
+        top = grids[-1].total_weight - 1
+        draws.append(np.array(data.draw(st.lists(st.integers(0, top), max_size=30)), dtype=np.int64))
+        betas.append(data.draw(st.sampled_from([1.0, 0.5, 0.0])))
+    _slots_exposure_matches_each_alone(grids, draws, betas)
 
 
 def _reference_pieces(grid: CellGrid, block: int) -> attractiveness.Pieces:

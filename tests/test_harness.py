@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epimob
@@ -599,17 +599,70 @@ def test_each_trace_file_is_written_by_the_process_that_ran_it(tmp_path, monkeyp
     ]
 
 
+# the trigger lists a batch draws from: a beta change, a tau change and the
+# awareness overlay, interleaved time and prevalence triggers, and a
+# prevalence trigger that fires at step 0 below n = 10 000, where 10 initial
+# cases reach 0.1%, and at a different step in each replicate above
+_BATCH_TRIGGERS = (
+    (),
+    ("time:2->beta=0.5",),
+    ("time:3->tau=1", "prevalence:0.02->alpha=6,kappa=16,tau=2"),
+    ("prevalence:0.001->beta=0.3", "time:4->alpha=2.5,kappa=2"),
+    ("time:2->beta=0.5", "prevalence:0.1->alpha=6,kappa=16,tau=2"),
+)
+
+
+@given(
+    n=st.sampled_from([300, 2_000, 50_000]),
+    beta=st.sampled_from([1.0, 0.5]),
+    triggers=st.sampled_from(_BATCH_TRIGGERS),
+    max_steps=st.sampled_from([2, 10_000]),
+    seed=st.integers(0, 2**64 - 1),
+    replicates=st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_replicate_does_not_depend_on_its_batch(n, beta, triggers, max_steps, seed, replicates):
+    # one batch of replicates in any order, against each run alone: at
+    # n = 50 000 outbreaks outgrow the sorted step and place nodes piece by
+    # piece, and at max_steps = 2 every replicate hits the cap
+    text = f"n={n}\nbeta={beta}\ntau=2\ninitial_infected=10\nmax_steps={max_steps}\nseed={seed}\n"
+    config = parse_config(text + "replications=51\n" + "".join(f"trigger={t}\n" for t in triggers))
+    together = harness.run_share(config, replicates)
+    assert len(together) == len(replicates)
+    for r, (summary, trace) in zip(replicates, together):
+        alone, alone_trace = run_replicate(config, r)
+        assert summary == alone and summary.fired_steps == alone.fired_steps
+        for f in dataclasses.fields(trace):
+            np.testing.assert_array_equal(getattr(trace, f.name), getattr(alone_trace, f.name), f.name)
+
+
+def test_a_batch_stays_below_the_int64_bound():
+    # at n = 10**13 a grid's cells times its largest weight is about 4.4e17,
+    # so a batch holds 20 replicates; laid end to end, 24 would wrap int64
+    base = preset_emerging(10**13)
+    config = dataclasses.replace(
+        base, params=dataclasses.replace(base.params, max_steps=3), seed=3, replications=24
+    )
+    size = harness._batch_size(config)
+    assert size == (2**63 - 1) // (config.params.num_cells * config.params.max_attractiveness) == 20
+    together = harness.run_share(config, range(24))
+    for r, (summary, trace) in enumerate(together):
+        alone, alone_trace = run_replicate(config, r)
+        assert summary == alone
+        np.testing.assert_array_equal(trace.new_by_group, alone_trace.new_by_group)
+
+
 def _spy_in_helpers(monkeypatch, in_helper) -> None:
-    """Rebind run_replicate so that forked helpers call in_helper instead."""
+    """Rebind run_share so that forked helpers call in_helper instead."""
     caller = os.getpid()
-    real = harness.run_replicate
+    real = harness.run_share
 
-    def spy(config, replicate):
+    def spy(config, replicates):
         if os.getpid() == caller:
-            return real(config, replicate)
-        return in_helper(config, replicate)
+            return real(config, replicates)
+        return in_helper(config, replicates)
 
-    monkeypatch.setattr(harness, "run_replicate", spy)
+    monkeypatch.setattr(harness, "run_share", spy)
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
@@ -627,14 +680,14 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
 def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, cpus):
     # forked helpers inherit the spy and append to the same file
     ran = tmp_path / "ran"
-    real = harness.run_replicate
+    real = harness.run_share
 
-    def spy(config, replicate):
+    def spy(config, replicates):
         with open(ran, "a", encoding="utf-8") as fh:
-            fh.write(f"{replicate} {os.getpid()}\n")
-        return real(config, replicate)
+            fh.writelines(f"{r} {os.getpid()}\n" for r in replicates)
+        return real(config, replicates)
 
-    monkeypatch.setattr(harness, "run_replicate", spy)
+    monkeypatch.setattr(harness, "run_share", spy)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     run_replications(small_config(seed=9, replications=4), workers=5000)
     pid = dict(line.split() for line in ran.read_text().splitlines())
@@ -647,8 +700,8 @@ def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, cpus):
 
 @fork_only
 def test_a_helper_exception_is_raised_again(monkeypatch):
-    def fail(config, replicate):
-        raise ValueError(f"replicate {replicate} failed")
+    def fail(config, replicates):
+        raise ValueError(f"replicate {replicates[0]} failed")
 
     _spy_in_helpers(monkeypatch, fail)
     # helpers 1 and 2 both fail; the caller reports helper 1's exception
@@ -661,12 +714,12 @@ def test_a_helper_exception_is_raised_again(monkeypatch):
 def test_the_callers_exception_stops_running_helpers(monkeypatch):
     caller = os.getpid()
 
-    def fail_in_caller(config, replicate):
+    def fail_in_caller(config, replicates):
         if os.getpid() == caller:
             raise ValueError("the caller's replicate failed")
         time.sleep(60)
 
-    monkeypatch.setattr(harness, "run_replicate", fail_in_caller)
+    monkeypatch.setattr(harness, "run_share", fail_in_caller)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="^the caller's replicate failed$"):
         run_replications(small_config(seed=9, replications=4), workers=2)
@@ -677,7 +730,7 @@ def test_the_callers_exception_stops_running_helpers(monkeypatch):
 
 @fork_only
 def test_a_helper_that_dies_without_sending_raises(monkeypatch):
-    _spy_in_helpers(monkeypatch, lambda config, replicate: os._exit(7))
+    _spy_in_helpers(monkeypatch, lambda config, replicates: os._exit(7))
     with pytest.raises(RuntimeError, match="helper 1 exited with code 7"):
         run_replications(small_config(seed=9, replications=4), workers=2)
     assert multiprocessing.active_children() == []
@@ -692,12 +745,12 @@ import dataclasses, os, signal
 from epimob import harness, preset_emerging
 # two processes, whatever the host's CPU count
 harness._usable_cpus = lambda: 2
-real, caller = harness.run_replicate, os.getpid()
-def die_in_caller(config, replicate):
+real, caller = harness.run_share, os.getpid()
+def die_in_caller(config, replicates):
     if os.getpid() == caller:
         os.kill(caller, signal.SIGKILL)
-    return real(config, replicate)
-harness.run_replicate = die_in_caller
+    return real(config, replicates)
+harness.run_share = die_in_caller
 config = dataclasses.replace(preset_emerging(2000), seed=1, replications=2, log_cells=True)
 harness.run_replications(config, workers=2)
 """
